@@ -86,46 +86,50 @@ class ScalarField:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-_AXES = np.eye(4)
-
-
-def _shift(fn, x, y, u, v, axis: int, amount: float):
-    d = _AXES[axis] * amount
-    return fn(x + d[0], y + d[1], u + d[2], v + d[3])
+def _shift(fn, coords, *moves):
+    """``fn`` at ``coords`` with each (axis, amount) in ``moves`` added to
+    its axis; the other coordinates pass through uncopied."""
+    moved = list(coords)
+    for axis, amount in moves:
+        moved[axis] = moved[axis] + amount
+    return fn(*moved)
 
 
 def fd_gradient_arrays(fn, x, y, u, v, h: float):
-    """Central-difference gradient of a vectorized function."""
+    """Central-difference gradient of a vectorized function (8 calls)."""
+    coords = (x, y, u, v)
     return tuple(
-        (_shift(fn, x, y, u, v, a, h) - _shift(fn, x, y, u, v, a, -h)) / (2 * h)
+        (_shift(fn, coords, (a, h)) - _shift(fn, coords, (a, -h))) / (2 * h)
         for a in range(4)
     )
 
 
 def fd_levi_arrays(fn, x, y, u, v, h: float):
-    """Central-difference Levi form entries (a11, a22, a12) of ``fn``."""
-    center = fn(x, y, u, v)
+    """Value, central gradient and Levi entries (a11, a22, a12) of ``fn``
+    from one 25-point stencil.
 
-    def pure(axis):
-        return (
-            _shift(fn, x, y, u, v, axis, h)
-            - 2 * center
-            + _shift(fn, x, y, u, v, axis, -h)
-        ) / (h * h)
+    The centre, the eight axis shifts and the sixteen mixed shifts are
+    the only calls: the gradient reuses the +-h axis shifts of the pure
+    second differences, so value and gradient come at no extra cost.
+    """
+    coords = (x, y, u, v)
+    center = fn(x, y, u, v)
+    plus = [_shift(fn, coords, (a, h)) for a in range(4)]
+    minus = [_shift(fn, coords, (a, -h)) for a in range(4)]
+    grad = tuple((p - m) / (2 * h) for p, m in zip(plus, minus))
+    xx, yy, uu, vv = ((p - 2 * center + m) / (h * h) for p, m in zip(plus, minus))
 
     def mixed(a, b):
-        da, db = _AXES[a] * h, _AXES[b] * h
-        pp = fn(x + da[0] + db[0], y + da[1] + db[1], u + da[2] + db[2], v + da[3] + db[3])
-        pm = fn(x + da[0] - db[0], y + da[1] - db[1], u + da[2] - db[2], v + da[3] - db[3])
-        mp = fn(x - da[0] + db[0], y - da[1] + db[1], u - da[2] + db[2], v - da[3] + db[3])
-        mm = fn(x - da[0] - db[0], y - da[1] - db[1], u - da[2] - db[2], v - da[3] - db[3])
+        pp = _shift(fn, coords, (a, h), (b, h))
+        pm = _shift(fn, coords, (a, h), (b, -h))
+        mp = _shift(fn, coords, (a, -h), (b, h))
+        mm = _shift(fn, coords, (a, -h), (b, -h))
         return (pp - pm - mp + mm) / (4 * h * h)
 
-    xx, yy, uu, vv = pure(0), pure(1), pure(2), pure(3)
     a11 = 0.25 * (xx + yy)
     a22 = 0.25 * (uu + vv)
     a12 = 0.25 * ((mixed(0, 2) + mixed(1, 3)) + 1j * (mixed(0, 3) - mixed(1, 2)))
-    return a11, a22, a12
+    return center, grad, (a11, a22, a12)
 
 
 def levi_fd(fld: ScalarField, p: PointC2, h: float | None = None) -> HermitianForm2:
@@ -134,7 +138,7 @@ def levi_fd(fld: ScalarField, p: PointC2, h: float | None = None) -> HermitianFo
     if step <= 0:
         raise GeometryError(f"finite-difference step must be positive, got {step}")
     x, y, u, v = p.reals
-    a11, a22, a12 = fd_levi_arrays(fld.value, x, y, u, v, step)
+    _, _, (a11, a22, a12) = fd_levi_arrays(fld.value, x, y, u, v, step)
     out = HermitianForm2(float(a11), float(a22), complex(a12))
     if not (np.isfinite(out.a11) and np.isfinite(out.a22) and np.isfinite(out.a12)):
         raise GeometryError(f"non-finite Levi entries for {fld.name} at {p.reals}")

@@ -60,15 +60,24 @@ class Box4:
     def contains(self, p: PointC2) -> bool:
         return all(l <= c <= h for l, c, h in zip(self.lo, p.reals, self.hi))
 
+    def node_counts(self, step: float) -> tuple[int, int, int, int]:
+        """Node count of every side of the grid at spacing ``step``,
+        computed without allocating; refuses a non-finite or non-positive
+        step."""
+        if not (math.isfinite(step) and step > 0):
+            raise GeometryError(f"grid step must be positive and finite, got {step}")
+        counts = []
+        for l, h in zip(self.lo, self.hi):
+            ratio = (h - l) / step
+            if not math.isfinite(ratio):
+                raise GeometryError(f"grid step {step} is too small for side [{l}, {h}]")
+            counts.append(max(int(round(ratio)) + 1, 2))
+        return tuple(counts)
+
     def axes(self, step: float) -> list[np.ndarray]:
         """Uniform sample axes hitting both endpoints of every side."""
-        if step <= 0:
-            raise GeometryError(f"grid step must be positive, got {step}")
-        out = []
-        for l, h in zip(self.lo, self.hi):
-            n = int(round((h - l) / step)) + 1
-            out.append(np.linspace(l, h, max(n, 2)))
-        return out
+        return [np.linspace(l, h, n)
+                for l, h, n in zip(self.lo, self.hi, self.node_counts(step))]
 
 
 @dataclass(frozen=True)

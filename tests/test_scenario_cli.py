@@ -271,6 +271,27 @@ def test_verify_local_captures_runtime_errors():
     assert "error" in report.results[0].details
 
 
+# NaN and inf are not finite; 1e-300 and 1e-3 imply far more grid nodes
+# than the sweep budget (1e-3 on the unit box is ~1.6e13 nodes).
+@pytest.mark.parametrize("suite", ["psh_models", "exhaustion"])
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 1e-300, 1e-3])
+def test_verify_local_refuses_unusable_grid_steps(suite, step):
+    report = verify_local(suite, {"grid_step": step})
+    assert not report.passed
+    (result,) = report.results
+    assert "grid step" in result.details["error"]
+
+
+def test_cli_check_reports_a_nan_grid_step_as_a_task_error(tmp_path, capsys):
+    scenario = {"schema": 1, "tasks": [
+        {"task": "verify-local", "suite": "psh_models", "params": {"grid_step": float("nan")}}]}
+    path = write_json(tmp_path, "nan.json", scenario)
+    assert cli.main(["check", path]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    (task,) = blob["tasks"]
+    assert task["pass"] is False and "grid step" in task["details"]["error"]
+
+
 # ---------------------------------------------------------------------------
 # Command line interface
 # ---------------------------------------------------------------------------
