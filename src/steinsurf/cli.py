@@ -19,21 +19,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .errors import InvalidClassError, ScenarioError, SurgeryError
-from .invariants import ImmersionClass
+from .errors import ScenarioError
 from .scenario import (
-    PlanTask,
-    Report,
-    ReplayTask,
-    Scenario,
+    SCHEMA_VERSION,
     SUITES,
+    TASK_PLAN,
+    TASK_REPLAY,
+    TASK_VERIFY_LOCAL,
+    Report,
+    read_json,
     run_scenario,
-    run_tasks,
-    verify_local,
 )
-from .surgery import PlanTarget, SurgeryStep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,61 +70,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path} must contain a JSON object")
-    return data
-
-
-def _load_replay_task(path: str) -> ReplayTask:
-    data = _read_json(path)
-    if "base" not in data or "steps" not in data:
-        raise ScenarioError(f"{path} needs 'base' and 'steps' fields")
-    try:
-        base = ImmersionClass.from_json(data["base"])
-        steps = tuple(SurgeryStep.from_json(s) for s in data["steps"])
-        expected = data.get("expected")
-        expected = None if expected is None else ImmersionClass.from_json(expected)
-    except (InvalidClassError, SurgeryError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad recipe in {path}: {exc}") from exc
-    return ReplayTask(base, steps, expected)
-
-
-def _single_task_report(task) -> Report:
-    return run_tasks(Scenario({}, {}, (task,)))
-
-
-def _dispatch(args: argparse.Namespace) -> Report:
+def _scenario(args: argparse.Namespace) -> str | dict:
+    """The scenario file of ``check``; a one-task scenario record for the
+    other subcommands, so every input goes through ``load_scenario``."""
     if args.command == "check":
-        return run_scenario(args.scenario)
+        return args.scenario
     if args.command == "plan":
-        target = PlanTarget(
-            orientable=args.degree is not None,
-            genus=args.genus,
-            delta_plus=args.dplus,
-            degree=args.degree,
-        )
-        return _single_task_report(PlanTask(target))
-    if args.command == "replay":
-        return _single_task_report(_load_replay_task(args.recipe))
-    return verify_local(args.suite, _verify_params(args))
-
-
-def _verify_params(args: argparse.Namespace) -> dict:
-    params = {}
-    if args.grid_step is not None:
-        params["grid_step"] = args.grid_step
-    if args.tol is not None:
-        params["tol"] = args.tol
-    if args.seed is not None:
-        params["seed"] = args.seed
-    return params
+        task = {"task": TASK_PLAN, "target": {
+            "orientable": args.degree is not None,
+            "genus": args.genus,
+            "delta_plus": args.dplus,
+            "degree": args.degree,
+        }}
+    elif args.command == "replay":
+        task = {"task": TASK_REPLAY, "recipe": read_json(args.recipe)}
+    else:
+        flags = {"grid_step": args.grid_step, "tol": args.tol, "seed": args.seed}
+        params = {name: value for name, value in flags.items() if value is not None}
+        task = {"task": TASK_VERIFY_LOCAL, "suite": args.suite, "params": params}
+    return {"schema": SCHEMA_VERSION, "tasks": [task]}
 
 
 def render(report: Report, fmt: str, timing: bool) -> str:
@@ -139,7 +100,7 @@ def render(report: Report, fmt: str, timing: bool) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = _dispatch(args)
+        report = run_scenario(_scenario(args))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

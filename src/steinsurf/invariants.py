@@ -83,12 +83,46 @@ AMBIENT_KINDS = (
 )
 
 
+# Typed field readers: every record read from JSON goes through these, so
+# a string, float or bool never stands in for an integer or a flag.
+
+
 def _check_int64(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidClassError(f"{name} must be an integer, got {value!r}")
     if not INT64_MIN <= value <= INT64_MAX:
         raise InvalidClassError(f"{name} out of signed 64-bit range: {value}")
     return value
+
+
+def _check_bool(name: str, value: bool) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidClassError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _check_number(name: str, value: float) -> float:
+    if isinstance(value, float):
+        return value
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidClassError(f"{name} must be a number, got {value!r}")
+    return float(_check_int64(name, value))
+
+
+def _check_record(name: str, data: dict, required: set, optional: set = frozenset(),
+                  error: type = InvalidClassError) -> dict:
+    """Return ``data`` if it is an object holding every required key and
+    no key outside ``required | optional``; else raise ``error``."""
+    if not isinstance(data, dict):
+        raise error(f"{name} must be an object, got {data!r}")
+    keys = data.keys()
+    if not (required <= keys and keys - required <= optional):
+        problems = [f"{what} {sorted(names, key=str)}" for what, names in
+                    (("missing", required - keys), ("unknown", keys - required - optional))
+                    if names]
+        raise error(f"malformed {name} record: {', '.join(problems)}; "
+                    f"fields are {sorted(required | optional)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -117,9 +151,8 @@ class SurfaceTopology:
 
     @classmethod
     def from_json(cls, data: dict) -> "SurfaceTopology":
-        if not isinstance(data, dict) or set(data) != {"genus", "orientable"}:
-            raise InvalidClassError(f"malformed topology record: {data!r}")
-        return cls(genus=_check_int64("genus", data["genus"]), orientable=bool(data["orientable"]))
+        _check_record("topology", data, {"genus", "orientable"})
+        return cls(data["genus"], _check_bool("orientable", data["orientable"]))
 
 
 def euler_char(top: SurfaceTopology) -> int:
@@ -195,15 +228,15 @@ class ImmersionClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "ImmersionClass":
-        required = {"topology", "normal_euler", "c1_pairing", "delta_plus", "delta_minus"}
-        if not isinstance(data, dict) or set(data) != required:
-            raise InvalidClassError(f"malformed immersion class record: {data!r}")
+        # __post_init__ reads the four integers through _check_int64.
+        _check_record("immersion class", data,
+                      {"topology", "normal_euler", "c1_pairing", "delta_plus", "delta_minus"})
         return cls(
             topology=SurfaceTopology.from_json(data["topology"]),
-            normal_euler=_check_int64("normal_euler", data["normal_euler"]),
-            c1_pairing=_check_int64("c1_pairing", data["c1_pairing"]),
-            delta_plus=_check_int64("delta_plus", data["delta_plus"]),
-            delta_minus=_check_int64("delta_minus", data["delta_minus"]),
+            normal_euler=data["normal_euler"],
+            c1_pairing=data["c1_pairing"],
+            delta_plus=data["delta_plus"],
+            delta_minus=data["delta_minus"],
         )
 
 
@@ -472,29 +505,31 @@ class AmbientDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "AmbientDescriptor":
-        if not isinstance(data, dict) or set(data) != {"kind", "stein", "kaehler_b2plus_gt1"}:
-            raise InvalidClassError(f"malformed ambient record: {data!r}")
+        _check_record("ambient", data, {"kind", "stein", "kaehler_b2plus_gt1"})
         kind = data["kind"]
         extra: dict = {}
         if isinstance(kind, dict):
             name = kind.get("name")
-            if name == KIND_LINE_BUNDLE:
-                extra = {
-                    "base_genus": _check_int64("base_genus", kind["base_genus"]),
-                    "bundle_degree": _check_int64("degree", kind["degree"]),
-                }
-            elif name == KIND_ABSTRACT:
-                extra = {
-                    "normal_euler": _check_int64("normal_euler", kind["normal_euler"]),
-                    "c1_pairing": _check_int64("c1_pairing", kind["c1_pairing"]),
-                }
+            fields = _KIND_FIELDS.get(name) if isinstance(name, str) else None
+            if fields is None:
+                raise InvalidClassError(f"parametrized ambient kind must be one of "
+                                        f"{sorted(_KIND_FIELDS)}, got {name!r}")
+            _check_record(name, kind, {"name", *fields})
+            extra = {attr: _check_int64(key, kind[key]) for key, attr in fields.items()}
             kind = name
         return cls(
             kind=kind,
-            stein=bool(data["stein"]),
-            kaehler_b2plus_gt1=bool(data["kaehler_b2plus_gt1"]),
+            stein=_check_bool("stein", data["stein"]),
+            kaehler_b2plus_gt1=_check_bool("kaehler_b2plus_gt1", data["kaehler_b2plus_gt1"]),
             **extra,
         )
+
+
+# JSON key -> attribute, for the kinds written as {"name": ..., ...}.
+_KIND_FIELDS = {
+    KIND_LINE_BUNDLE: {"base_genus": "base_genus", "degree": "bundle_degree"},
+    KIND_ABSTRACT: {"normal_euler": "normal_euler", "c1_pairing": "c1_pairing"},
+}
 
 
 def ambient_pairings(ambient: AmbientDescriptor, class_data) -> tuple[int, int]:

@@ -59,61 +59,3 @@ from .scenes import (
     tau_jets,
 )
 from .sweeps import VALUE_FLOOR, grid_chunks, psh_certificate
-
-__all__ = [
-    "Box4",
-    "CONVERGED_VALUE",
-    "DEFAULT_FD_STEP",
-    "FlowResult",
-    "HermitianForm2",
-    "LocatedComplexPoint",
-    "MODEL_DOUBLE_POINT",
-    "MODEL_FLAT_DOUBLE_POINT",
-    "MODEL_GRAPH_ELLIPTIC",
-    "MODEL_GRAPH_HYPERBOLIC",
-    "MODEL_KINDS",
-    "MODEL_SIGMA_MINUS",
-    "MODEL_SIGMA_PLUS",
-    "MODEL_SPECIAL_HYPERBOLIC",
-    "MODEL_WEINSTEIN",
-    "ModelChart",
-    "OrientedPlane",
-    "PATCH_KINDS",
-    "PointC2",
-    "Rect",
-    "ScalarField",
-    "Scene",
-    "SurfacePatch",
-    "VALUE_FLOOR",
-    "build_patched_rho",
-    "bump_jets",
-    "complex_det",
-    "conjugate_graph",
-    "custom_graph",
-    "cutoff_jets",
-    "det_arrays",
-    "det_identity_check",
-    "double_point_field",
-    "double_point_scene",
-    "eigmin_arrays",
-    "exhaustion_certificate",
-    "fd_gradient_arrays",
-    "fd_levi_arrays",
-    "flat_scene",
-    "flow_to_surface",
-    "grid_chunks",
-    "intersection_sign",
-    "levi_closed",
-    "levi_fd",
-    "locate_complex_points",
-    "min_abs_complex_det",
-    "model_field",
-    "model_patch",
-    "psh_certificate",
-    "special_hyperbolic_field",
-    "special_hyperbolic_scene",
-    "tau_field",
-    "tau_jets",
-    "weinstein_double_point_planes",
-    "winding_index",
-]

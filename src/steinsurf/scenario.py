@@ -18,7 +18,9 @@ A scenario is a JSON document with a versioned schema:
     }
 
 Structural problems (bad schema version, unresolved names, malformed
-classes) raise ScenarioError; failures discovered while running a task
+classes, a wrong-typed or unknown field) raise ScenarioError; a
+``verify-local`` task takes the parameters its suite runner declares as
+keywords.  Failures discovered while running a task
 are recorded in the report and fail that task.  Reports are
 deterministic: identical scenarios produce byte-identical JSON, with
 wall-clock timing only in the text emitter or behind an explicit flag.
@@ -26,6 +28,7 @@ wall-clock timing only in the text emitter or behind an explicit flag.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
@@ -52,6 +55,10 @@ from .invariants import (
     ADJUNCTION_VARIANTS,
     AmbientDescriptor,
     ImmersionClass,
+    _check_bool,
+    _check_int64,
+    _check_number,
+    _check_record,
     check_adjunction,
     lai,
     stein_condition,
@@ -82,7 +89,7 @@ from .localgeo import (
     weinstein_double_point_planes,
     winding_index,
 )
-from .surgery import PlanTarget, SurgeryStep, plan_cp2, replay_trace
+from .surgery import PlanTarget, SurgeryStep, plan_cp2, read_recipe, replay_trace
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
@@ -200,93 +207,111 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _one_of(value: Any, options) -> bool:
+    return isinstance(value, str) and value in options
+
+
+def read_json(path: str | Path) -> Any:
+    """Decode a JSON file; an unreadable or undecodable file is a ScenarioError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _parse_named(section: Any, parser, what: str) -> dict:
     _require(isinstance(section, dict), f"{what} section must be an object")
     out = {}
     for name, payload in section.items():
         try:
             out[name] = parser(payload)
-        except (InvalidClassError, KeyError, TypeError, ValueError) as exc:
+        except InvalidClassError as exc:
             raise ScenarioError(f"bad {what} entry {name!r}: {exc}") from exc
     return out
 
 
-def _parse_plan_target(data: Any) -> PlanTarget:
-    _require(isinstance(data, dict), "plan target must be an object")
-    unknown = set(data) - {"orientable", "genus", "delta_plus", "degree"}
-    _require(not unknown, f"unknown plan target fields: {sorted(unknown)}")
-    _require("orientable" in data and "genus" in data, "plan target needs orientable and genus")
-    return PlanTarget(
-        orientable=data["orientable"],
-        genus=data["genus"],
-        delta_plus=data.get("delta_plus", 0),
-        degree=data.get("degree"),
-    )
+def _parse_params(suite: str, params: Any) -> dict:
+    """Type-check suite parameters against the keyword signature of the
+    suite's runner: the names it declares, an int64 where the default is
+    an integer and a number otherwise.  Omitted names keep the defaults."""
+    spec = inspect.signature(_SUITE_RUNNERS[suite]).parameters
+    _check_record(f"{suite} params", params, set(), spec.keys(), ScenarioError)
+    return {
+        name: _check_int64(name, value) if isinstance(spec[name].default, int)
+        else _check_number(name, value)
+        for name, value in params.items()
+    }
 
 
-def _parse_task(index: int, data: Any, surfaces: dict, ambients: dict):
-    _require(isinstance(data, dict), f"task {index}: must be an object")
+# Required and optional fields of each task kind.
+_TASK_FIELDS = {
+    TASK_CHECK: ({"task", "surface"}, {"ambient", "variant", "class_nonzero"}),
+    TASK_PLAN: ({"task", "target"}, set()),
+    TASK_REPLAY: ({"task", "recipe"}, set()),
+    TASK_VERIFY_LOCAL: ({"task", "suite"}, {"params"}),
+}
+
+
+def _parse_task(data: Any, surfaces: dict, ambients: dict):
+    _require(isinstance(data, dict), "must be an object")
     kind = data.get("task")
+    _require(_one_of(kind, _TASK_FIELDS), f"unknown task kind {kind!r}")
+    _check_record(f"{kind} task", data, *_TASK_FIELDS[kind], ScenarioError)
     if kind == TASK_CHECK:
-        name = data.get("surface")
-        _require(name in surfaces, f"task {index}: unknown surface {name!r}")
+        name = data["surface"]
+        _require(_one_of(name, surfaces), f"unknown surface {name!r}")
         ambient = data.get("ambient")
-        _require(
-            ambient is None or ambient in ambients,
-            f"task {index}: unknown ambient {ambient!r}",
-        )
+        _require(ambient is None or _one_of(ambient, ambients), f"unknown ambient {ambient!r}")
         variant = data.get("variant")
         _require(
-            variant is None or variant in ADJUNCTION_VARIANTS,
-            f"task {index}: unknown adjunction variant {variant!r}",
+            variant is None or _one_of(variant, ADJUNCTION_VARIANTS),
+            f"unknown adjunction variant {variant!r}",
         )
-        return CheckTask(name, ambient, variant, bool(data.get("class_nonzero", True)))
+        class_nonzero = _check_bool("class_nonzero", data.get("class_nonzero", True))
+        return CheckTask(name, ambient, variant, class_nonzero)
     if kind == TASK_PLAN:
-        return PlanTask(_parse_plan_target(data.get("target")))
+        target = _check_record("plan target", data["target"], {"orientable", "genus"},
+                               {"delta_plus", "degree"}, ScenarioError)
+        degree = target.get("degree")
+        return PlanTask(PlanTarget(
+            orientable=_check_bool("orientable", target["orientable"]),
+            genus=_check_int64("genus", target["genus"]),
+            delta_plus=_check_int64("delta_plus", target.get("delta_plus", 0)),
+            degree=None if degree is None else _check_int64("degree", degree),
+        ))
     if kind == TASK_REPLAY:
-        recipe = data.get("recipe")
-        _require(isinstance(recipe, dict), f"task {index}: replay needs a recipe object")
-        try:
-            base = ImmersionClass.from_json(recipe["base"])
-            steps = tuple(SurgeryStep.from_json(s) for s in recipe["steps"])
-            expected = recipe.get("expected")
-            expected = None if expected is None else ImmersionClass.from_json(expected)
-        except (InvalidClassError, SurgeryError, KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"task {index}: bad recipe: {exc}") from exc
-        return ReplayTask(base, steps, expected)
-    if kind == TASK_VERIFY_LOCAL:
-        suite = data.get("suite")
-        _require(suite in SUITES, f"task {index}: unknown suite {suite!r}")
-        params = data.get("params", {})
-        _require(isinstance(params, dict), f"task {index}: params must be an object")
-        return VerifyLocalTask(suite, dict(params))
-    raise ScenarioError(f"task {index}: unknown task kind {kind!r}")
+        return ReplayTask(*read_recipe(data["recipe"]))
+    suite = data["suite"]
+    _require(_one_of(suite, _SUITE_RUNNERS),
+             f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    return VerifyLocalTask(suite, _parse_params(suite, data.get("params", {})))
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
-    """Parse a scenario from a path or an already-decoded JSON object."""
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    else:
-        data = source
-    _require(isinstance(data, dict), "scenario must be a JSON object")
+    """Parse a scenario from a path or an already-decoded JSON object.
+
+    This is the only reader of external input: every field is type-checked
+    and every record must hold exactly its known fields."""
+    data = read_json(source) if isinstance(source, (str, Path)) else source
+    _check_record("scenario", data, {"schema"}, {"surfaces", "ambients", "tasks"}, ScenarioError)
+    schema = data["schema"]
     _require(
-        data.get("schema") == SCHEMA_VERSION,
-        f"unsupported scenario schema {data.get('schema')!r}, expected {SCHEMA_VERSION}",
+        type(schema) is int and schema == SCHEMA_VERSION,
+        f"unsupported scenario schema {schema!r}, expected {SCHEMA_VERSION}",
     )
     surfaces = _parse_named(data.get("surfaces", {}), ImmersionClass.from_json, "surface")
     ambients = _parse_named(data.get("ambients", {}), AmbientDescriptor.from_json, "ambient")
     raw_tasks = data.get("tasks", [])
     _require(isinstance(raw_tasks, list), "tasks must be a list")
-    tasks = tuple(
-        _parse_task(i, t, surfaces, ambients) for i, t in enumerate(raw_tasks)
-    )
-    return Scenario(surfaces, ambients, tasks)
+    tasks = []
+    for index, raw in enumerate(raw_tasks):
+        try:
+            tasks.append(_parse_task(raw, surfaces, ambients))
+        except (ScenarioError, InvalidClassError, SurgeryError) as exc:
+            raise ScenarioError(f"task {index}: {exc}") from exc
+    return Scenario(surfaces, ambients, tuple(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +395,15 @@ def _check_entry(name: str, cert: Certificate) -> dict:
     return {"name": name, "pass": cert.passed, "certificate": cert.to_json()}
 
 
-def _suite_psh_models(params: dict) -> list[dict]:
-    step = float(params.get("grid_step", 0.05))
+def _suite_psh_models(grid_step: float = 0.05, tol: float | None = None) -> list[dict]:
+    """``tol=None`` keeps the per-mode tolerance: 1e-9 closed form, 1e-5 FD."""
     box = Box4.symmetric(1.0)
     checks = []
     for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
         for jets in (True, False):
-            default_tol = 1e-9 if jets else 1e-5
-            tol = float(params.get("tol", default_tol))
+            mode_tol = (1e-9 if jets else 1e-5) if tol is None else tol
             fld = model_field(kind, with_jets=jets)
-            cert = psh_certificate(fld, box, step, tol)
+            cert = psh_certificate(fld, box, grid_step, mode_tol)
             mode = "closed" if jets else "fd"
             checks.append(_check_entry(f"{kind}-{mode}", cert))
     return checks
@@ -391,8 +415,7 @@ _WINDING_TARGETS = (
 )
 
 
-def _suite_windings(params: dict) -> list[dict]:
-    radius = float(params.get("radius", 0.5))
+def _suite_windings(radius: float = 0.5) -> list[dict]:
     checks = []
     for kind, expected in _WINDING_TARGETS:
         patch = model_patch(kind)
@@ -412,15 +435,14 @@ def _located_to_json(points) -> list[dict]:
     return [p.to_json() for p in points]
 
 
-def _suite_sigma_handles(params: dict) -> list[dict]:
-    eps = float(params.get("epsilon", 0.1))
-    step = float(params.get("grid_step", 0.1))
-    tol = float(params.get("tol", 1e-4))
+def _suite_sigma_handles(
+    epsilon: float = 0.1, grid_step: float = 0.1, tol: float = 1e-4
+) -> list[dict]:
     checks = []
 
-    minus = model_patch(MODEL_SIGMA_MINUS, epsilon=eps)
-    points = locate_complex_points(minus, grid_step=step)
-    r = (abs(eps) / 2.0) ** 0.5
+    minus = model_patch(MODEL_SIGMA_MINUS, epsilon=epsilon)
+    points = locate_complex_points(minus, grid_step=grid_step)
+    r = (abs(epsilon) / 2.0) ** 0.5
     targets = [
         np.array([sx * r, sx * r, su * r, -su * r])
         for sx in (1, -1)
@@ -440,8 +462,8 @@ def _suite_sigma_handles(params: dict) -> list[dict]:
                    "certificate": cert.to_json(),
                    "points": _located_to_json(points)})
 
-    plus = model_patch(MODEL_SIGMA_PLUS, epsilon=eps)
-    plus_points = locate_complex_points(plus, grid_step=step)
+    plus = model_patch(MODEL_SIGMA_PLUS, epsilon=epsilon)
+    plus_points = locate_complex_points(plus, grid_step=grid_step)
     floor = min_abs_complex_det(plus)
     ok = not plus_points and floor > 0
     cert = Certificate(ok, RULE_WINDING, (Witness("min_abs_det", floor),))
@@ -449,11 +471,10 @@ def _suite_sigma_handles(params: dict) -> list[dict]:
     return checks
 
 
-def _suite_weinstein(params: dict) -> list[dict]:
-    step = float(params.get("grid_step", 0.1))
+def _suite_weinstein(grid_step: float = 0.1) -> list[dict]:
     checks = []
     patch = model_patch(MODEL_WEINSTEIN)
-    points = locate_complex_points(patch, grid_step=step)
+    points = locate_complex_points(patch, grid_step=grid_step)
     floor = min_abs_complex_det(patch)
     ok = not points and floor > 0
     cert = Certificate(ok, RULE_WINDING, (Witness("min_abs_det", floor),))
@@ -475,10 +496,9 @@ def _sample_sublevel(field, rng, level: float, half_width: float):
     raise NumericalError("could not sample a start point below the level")
 
 
-def _suite_flow(params: dict) -> list[dict]:
-    seed = int(params.get("seed", DEFAULT_SEED))
-    n = int(params.get("n", 25))
-    level = float(params.get("level", 0.01))
+def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> list[dict]:
+    if n < 1 or seed < 0:
+        raise GeometryError(f"flow needs n >= 1 starts and a seed >= 0, got n={n}, seed={seed}")
     checks = []
     for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
         fld = model_field(kind)
@@ -499,17 +519,16 @@ def _suite_flow(params: dict) -> list[dict]:
     return checks
 
 
-def _suite_exhaustion(params: dict) -> list[dict]:
-    eps = float(params.get("epsilon", 0.01))
-    delta = float(params.get("delta", 1e-3))
-    step = float(params.get("grid_step", 0.05))
+def _suite_exhaustion(
+    epsilon: float = 0.01, delta: float = 1e-3, grid_step: float = 0.05
+) -> list[dict]:
     checks = []
     scenes = (
         ("special-hyperbolic-scene", special_hyperbolic_scene()),
         ("double-point-scene", double_point_scene()),
     )
     for name, scene in scenes:
-        cert = exhaustion_certificate(scene, eps, delta, step)
+        cert = exhaustion_certificate(scene, epsilon, delta, grid_step)
         checks.append(_check_entry(name, cert))
     return checks
 
@@ -525,7 +544,7 @@ _SUITE_RUNNERS = {
 
 
 def _run_verify_local(task: VerifyLocalTask) -> tuple[bool, dict]:
-    checks = _SUITE_RUNNERS[task.suite](task.params)
+    checks = _SUITE_RUNNERS[task.suite](**task.params)
     passed = all(c["pass"] for c in checks)
     return passed, {"suite": task.suite, "checks": checks}
 
@@ -569,14 +588,12 @@ def run_tasks(scenario: Scenario) -> Report:
     return Report(tuple(results))
 
 
-def run_scenario(path: str | Path | dict) -> Report:
+def run_scenario(source: str | Path | dict) -> Report:
     """Load and execute a scenario; see the module docstring for the schema."""
-    return run_tasks(load_scenario(path))
+    return run_tasks(load_scenario(source))
 
 
 def verify_local(suite: str, params: dict | None = None) -> Report:
     """Run one named verification suite as a single-task report."""
-    if suite not in SUITES:
-        raise ScenarioError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    task = VerifyLocalTask(suite, dict(params or {}))
-    return run_tasks(Scenario({}, {}, (task,)))
+    task = {"task": TASK_VERIFY_LOCAL, "suite": suite, "params": {} if params is None else params}
+    return run_scenario({"schema": SCHEMA_VERSION, "tasks": [task]})

@@ -22,6 +22,7 @@ from .certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
 from .invariants import (
     ImmersionClass,
     SurfaceTopology,
+    _check_record,
     euler_char,
     lai,
     oriented_class,
@@ -304,11 +305,7 @@ class SurgeryStep:
 
     @classmethod
     def from_json(cls, data: dict) -> "SurgeryStep":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise SurgeryError(f"malformed step record: {data!r}")
-        extra = set(data) - {"kind", "other"}
-        if extra:
-            raise SurgeryError(f"unexpected step fields: {sorted(extra)}")
+        _check_record("step", data, {"kind"}, {"other"}, SurgeryError)
         other = data.get("other")
         return cls(
             kind=data["kind"],
@@ -416,14 +413,25 @@ class SurgeryRecipe:
 
     @classmethod
     def from_json(cls, data: dict) -> "SurgeryRecipe":
-        required = {"base", "steps", "expected"}
-        if not isinstance(data, dict) or set(data) != required:
-            raise SurgeryError(f"malformed recipe record: {data!r}")
-        return cls(
-            base=ImmersionClass.from_json(data["base"]),
-            steps=tuple(SurgeryStep.from_json(s) for s in data["steps"]),
-            expected=ImmersionClass.from_json(data["expected"]),
-        )
+        base, steps, expected = read_recipe(data)
+        if expected is None:
+            raise SurgeryError("a recipe needs its expected class")
+        return cls(base=base, steps=steps, expected=expected)
+
+
+def read_recipe(data: dict) -> tuple[ImmersionClass, tuple[SurgeryStep, ...], ImmersionClass | None]:
+    """Base, steps and expected class of a recipe record; ``expected`` is
+    optional (None when absent), as replay tasks may omit it."""
+    _check_record("recipe", data, {"base", "steps"}, {"expected"}, SurgeryError)
+    steps = data["steps"]
+    if not isinstance(steps, list):
+        raise SurgeryError(f"recipe steps must be a list, got {steps!r}")
+    expected = data.get("expected")
+    return (
+        ImmersionClass.from_json(data["base"]),
+        tuple(SurgeryStep.from_json(s) for s in steps),
+        None if expected is None else ImmersionClass.from_json(expected),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +453,11 @@ class PlanTarget:
     genus: int
     delta_plus: int = 0
     degree: int | None = None
+
+
+# The planner emits one step record per attached summand or resolved
+# double point, so its work and output grow with the target genus.
+MAX_PLAN_STEPS = 1 << 20
 
 
 def _feasibility_bound(degree: int) -> int:
@@ -481,9 +494,7 @@ def plan_cp2(target: PlanTarget) -> SurgeryRecipe:
                 "unorientable genus is at least 1", rule="input"
             )
         base = real_projective_plane_cp2()
-        steps = tuple(SurgeryStep(STEP_ATTACH_RP2) for _ in range(target.genus - 1))
-        expected = replay(base, list(steps))
-        return SurgeryRecipe(base=base, steps=steps, expected=expected)
+        return _recipe(base, ((STEP_ATTACH_RP2, target.genus - 1),))
 
     if target.degree is None or target.degree < 1:
         raise InfeasibleTargetError(
@@ -501,13 +512,23 @@ def plan_cp2(target: PlanTarget) -> SurgeryRecipe:
 
     if target.delta_plus == 0:
         base = cp2_curve_class(d)
-        tori = target.genus - base.genus
-        steps = tuple(SurgeryStep(STEP_ATTACH_TORUS) for _ in range(tori))
+        moves = ((STEP_ATTACH_TORUS, target.genus - base.genus),)
     else:
         base = cp2_line_config_sphere(d)
         spheres = target.genus + target.delta_plus - base.delta_plus
-        steps = tuple(SurgeryStep(STEP_ATTACH_WEINSTEIN) for _ in range(spheres)) + tuple(
-            SurgeryStep(STEP_RESOLVE_POS_HANDLE) for _ in range(target.genus)
+        moves = ((STEP_ATTACH_WEINSTEIN, spheres), (STEP_RESOLVE_POS_HANDLE, target.genus))
+    return _recipe(base, moves)
+
+
+def _recipe(base: ImmersionClass, moves: tuple[tuple[str, int], ...]) -> SurgeryRecipe:
+    """Recipe repeating each step kind ``count`` times, in order; refuses
+    more than MAX_PLAN_STEPS step records before building any."""
+    records = sum(count for _, count in moves)
+    if records > MAX_PLAN_STEPS:
+        raise InfeasibleTargetError(
+            f"target needs {records} step records, more than MAX_PLAN_STEPS = {MAX_PLAN_STEPS}",
+            rule="input",
         )
+    steps = tuple(step for kind, count in moves for step in (SurgeryStep(kind),) * count)
     expected = replay(base, list(steps))
     return SurgeryRecipe(base=base, steps=steps, expected=expected)

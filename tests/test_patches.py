@@ -21,6 +21,7 @@ from steinsurf.localgeo import (
     weinstein_double_point_planes,
     winding_index,
 )
+from steinsurf.localgeo import patches
 from steinsurf.localgeo.patches import (
     MODEL_FLAT_DOUBLE_POINT,
     MODEL_GRAPH_ELLIPTIC,
@@ -263,3 +264,33 @@ def test_flat_double_point_sheets():
     assert all(p.reals == (0, 0, 0, 0) for p in origins)
     assert locate_complex_points(patch, grid_step=0.25) == []
     assert min_abs_complex_det(patch, grid_step=0.25) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Node budget of the patch grids
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1, 1e-300])
+@pytest.mark.parametrize("sweep", [locate_complex_points, min_abs_complex_det])
+def test_patch_grids_refuse_unusable_steps(sweep, step):
+    with pytest.raises(GeometryError, match="grid step"):
+        sweep(model_patch(MODEL_WEINSTEIN), grid_step=step)
+
+
+def test_patch_grid_budget_is_checked_before_allocating():
+    # 1e-4 on the Weinstein chart is about 1.8e9 nodes; the refusal comes
+    # from the node count, not from building the grid.
+    (rect,) = model_patch(MODEL_WEINSTEIN).domain
+    with pytest.raises(GeometryError, match=str(patches.MAX_PATCH_NODES)):
+        patches._cell_nodes(rect, 1e-4)
+    s, t = patches._cell_nodes(rect, 0.004)  # the finest step the benchmark sweeps
+    assert len(s) * len(t) < patches.MAX_PATCH_NODES / 4
+
+
+def test_patch_grid_budget_counts_nodes(monkeypatch):
+    patch = model_patch(MODEL_SIGMA_PLUS, epsilon=0.1)
+    monkeypatch.setattr(patches, "MAX_PATCH_NODES", 1000)
+    assert min_abs_complex_det(patch, grid_step=0.25) > 0  # 6 x 25 nodes
+    with pytest.raises(GeometryError, match="more than 1000 nodes"):
+        min_abs_complex_det(patch, grid_step=0.05)  # 30 x 125 nodes
