@@ -48,12 +48,10 @@ from .patches import (
 from .scenes import (
     ModelChart,
     Scene,
-    build_patched_rho,
     bump_jets,
     cutoff_jets,
     double_point_scene,
     exhaustion_certificate,
-    flat_scene,
     special_hyperbolic_scene,
     tau_field,
     tau_jets,

@@ -79,7 +79,8 @@ def flow_to_surface(
         candidate = coords + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         point = PointC2.from_reals(*candidate)
         inside = box.contains(point)
-        if not inside or float(field.value_at(point)) >= value:
+        new_value = float(field.value_at(point)) if inside else None
+        if not inside or new_value >= value:
             dt *= 0.5
             if dt < _MIN_STEP:
                 if not inside:
@@ -89,7 +90,7 @@ def flow_to_surface(
                 break
             continue
         coords = candidate
-        value = float(field.value_at(point))
+        value = new_value
         trajectory.append(point)
         values.append(value)
         dt *= _GROWTH

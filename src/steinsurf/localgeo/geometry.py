@@ -88,11 +88,6 @@ class HermitianForm2:
     a22: float
     a12: complex
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a11, self.a12], [np.conj(self.a12), self.a22]], dtype=complex
-        )
-
     def eigenvalues(self) -> tuple[float, float]:
         """Eigenvalues (min, max); real because the form is Hermitian."""
         mean = 0.5 * (self.a11 + self.a22)

@@ -1,13 +1,13 @@
-"""Model scenes: patched neighborhood functions and exhaustion certificates.
+"""Model scenes: the two model charts and their exhaustion certificates.
 
-A scene places model charts (special hyperbolic or double point) in C^2,
-each with a radius and a smooth cutoff, over an optional flat background
-surface.  Two scalar fields matter:
+A scene is one model chart (special hyperbolic or double point) at the
+origin of C^2, with a radius and a smooth cutoff.  Two scalar fields
+matter:
 
-* the neighborhood function rho, vanishing exactly on the scene surface,
-  blended from the chart models and the tubular background quadratic;
-* the localization term tau = sum_j chi_j * (|z_loc|^2 + |w_loc|^2),
-  whose cutoffs are the only place second derivatives of the bump enter.
+* the neighborhood function rho, the chart's model function, vanishing
+  exactly on the model surface and carrying closed-form jets;
+* the localization term tau = chi * (|z|^2 + |w|^2), whose cutoff is the
+  only place second derivatives of the bump enter.
 
 The exhaustion phi = -log(eps - rho) + delta * tau is certified strongly
 plurisubharmonic on {rho < eps} (minus a collar) by assembling its Levi
@@ -36,13 +36,8 @@ from .fields import (
     ScalarField,
     model_field,
 )
-from .geometry import Box4, PointC2, eigmin_arrays
+from .geometry import Box4, eigmin_arrays
 from .sweeps import grid_chunks
-
-TUBULAR_MODEL = "model"
-TUBULAR_EUCLIDEAN = "euclidean"
-BACKGROUND_NONE = "none"
-BACKGROUND_FLAT = "flat"
 
 # Cutoff thresholds: on |z_loc| for hyperbolic charts (fractions of the
 # chart radius), on |z_loc|^2 + |w_loc|^2 for double point charts.
@@ -112,10 +107,9 @@ def cutoff_jets(c, lo: float, hi: float):
 
 @dataclass(frozen=True)
 class ModelChart:
-    """One model chart: kind, center in C^2, and patch radius."""
+    """One model chart at the origin of C^2: kind and patch radius."""
 
     kind: str
-    center: PointC2
     radius: float
 
     def __post_init__(self):
@@ -129,159 +123,31 @@ class ModelChart:
             return (HYPERBOLIC_CUTOFF[0] * self.radius, HYPERBOLIC_CUTOFF[1] * self.radius)
         return DOUBLE_CUTOFF
 
-    def local_coords(self, x, y, u, v):
-        cx, cy, cu, cv = self.center.reals
-        return x - cx, y - cy, u - cu, v - cv
-
     def cutoff_argument(self, x, y, u, v):
-        """The scalar the cutoff is applied to, at global coordinates."""
-        lx, ly, lu, lv = self.local_coords(x, y, u, v)
+        """The scalar the cutoff is applied to."""
         if self.kind == MODEL_SPECIAL_HYPERBOLIC:
-            return np.sqrt(lx * lx + ly * ly)
-        return lx * lx + ly * ly + lu * lu + lv * lv
+            return np.sqrt(x * x + y * y)
+        return x * x + y * y + u * u + v * v
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Model charts over a background, with a tubular extension choice.
-
-    ``background`` is "flat" (the totally real plane {y = v = 0}) or
-    "none" (a single chart whose model is the whole surface).  ``tubular``
-    picks the extension of the neighborhood function outside the chart
-    cores: "model" keeps each chart's own normal-chart quadratic, which
-    coincides with the model function, while "euclidean" (double point
-    charts only) substitutes the squared Euclidean distance
-    min(x^2+u^2, y^2+v^2).
-    """
+    """One model chart; ``charts`` is a one-chart tuple."""
 
     charts: tuple[ModelChart, ...]
-    background: str = BACKGROUND_FLAT
-    tubular: str = TUBULAR_MODEL
 
     def __post_init__(self):
         object.__setattr__(self, "charts", tuple(self.charts))
-        if self.background not in (BACKGROUND_NONE, BACKGROUND_FLAT):
-            raise GeometryError(f"unknown background {self.background!r}")
-        if self.tubular not in (TUBULAR_MODEL, TUBULAR_EUCLIDEAN):
-            raise GeometryError(f"unknown tubular mode {self.tubular!r}")
-        if self.background == BACKGROUND_NONE and len(self.charts) != 1:
-            raise GeometryError("background 'none' needs exactly one chart")
-        for i, a in enumerate(self.charts):
-            for b in self.charts[i + 1 :]:
-                gap = math.dist(a.center.reals, b.center.reals)
-                if gap <= a.radius + b.radius:
-                    raise GeometryError(
-                        f"overlapping charts at {a.center.reals} and {b.center.reals}"
-                    )
-        if self.tubular == TUBULAR_EUCLIDEAN:
-            if any(c.kind != MODEL_DOUBLE_POINT for c in self.charts):
-                raise GeometryError(
-                    "euclidean tubular extension is defined for double point charts only"
-                )
+        if len(self.charts) != 1:
+            raise GeometryError(f"a scene holds exactly one chart, got {len(self.charts)}")
 
 
 def special_hyperbolic_scene(radius: float = 0.5) -> Scene:
-    chart = ModelChart(MODEL_SPECIAL_HYPERBOLIC, PointC2(0j, 0j), radius)
-    return Scene((chart,), background=BACKGROUND_NONE)
+    return Scene((ModelChart(MODEL_SPECIAL_HYPERBOLIC, radius),))
 
 
 def double_point_scene(radius: float = 1.0) -> Scene:
-    chart = ModelChart(MODEL_DOUBLE_POINT, PointC2(0j, 0j), radius)
-    return Scene((chart,), background=BACKGROUND_NONE)
-
-
-def flat_scene() -> Scene:
-    return Scene((), background=BACKGROUND_FLAT)
-
-
-# ---------------------------------------------------------------------------
-# The patched neighborhood function
-# ---------------------------------------------------------------------------
-
-
-def _flat_background_field() -> ScalarField:
-    def value(x, y, u, v):
-        return y * y + v * v
-
-    def gradient(x, y, u, v):
-        zero = np.zeros(np.broadcast(x, y, u, v).shape)
-        return (zero, 2 * y + zero, zero, 2 * v + zero)
-
-    def levi(x, y, u, v):
-        half = 0.5 + np.zeros(np.broadcast(x, y, u, v).shape)
-        return (half, half, np.zeros_like(half, dtype=complex))
-
-    return ScalarField(name="FlatBackground", value=value, gradient=gradient, levi=levi)
-
-
-def _shifted_model_field(chart: ModelChart) -> ScalarField:
-    """The chart's model field expressed in global coordinates."""
-    base = model_field(chart.kind)
-    if chart.center == PointC2(0j, 0j):
-        return base
-
-    def value(x, y, u, v):
-        return base.value(*chart.local_coords(x, y, u, v))
-
-    def gradient(x, y, u, v):
-        return base.gradient(*chart.local_coords(x, y, u, v))
-
-    def levi(x, y, u, v):
-        return base.levi(*chart.local_coords(x, y, u, v))
-
-    return ScalarField(name=f"{chart.kind}@{chart.center.reals}", value=value,
-                       gradient=gradient, levi=levi)
-
-
-def _euclidean_double_value(chart: ModelChart):
-    def value(x, y, u, v):
-        lx, ly, lu, lv = chart.local_coords(x, y, u, v)
-        return np.minimum(lx * lx + lu * lu, ly * ly + lv * lv)
-
-    return value
-
-
-def build_patched_rho(scene: Scene) -> ScalarField:
-    """Neighborhood function of the scene surface.
-
-    Inside each chart's inner cutoff region the field is the chart model;
-    outside the outer threshold it is the tubular extension; in between
-    the two are blended by the smooth cutoff.  With the default "model"
-    tubular extension the blend collapses to the model itself, and the
-    returned field carries closed-form jets.  Mixed or euclidean scenes
-    return a value-only field (jets fall back to finite differences).
-    """
-    if scene.background == BACKGROUND_NONE:
-        chart = scene.charts[0]
-        if scene.tubular == TUBULAR_MODEL:
-            return _shifted_model_field(chart)
-        model = _shifted_model_field(chart)
-        outer = _euclidean_double_value(chart)
-
-        def value(x, y, u, v):
-            chi, _, _ = cutoff_jets(
-                chart.cutoff_argument(x, y, u, v), *chart.cutoff_interval()
-            )
-            return chi * model.value(x, y, u, v) + (1.0 - chi) * outer(x, y, u, v)
-
-        return ScalarField(name=f"Patched{chart.kind}", value=value)
-
-    background = _flat_background_field()
-    if not scene.charts:
-        return background
-
-    models = [_shifted_model_field(c) for c in scene.charts]
-
-    def value(x, y, u, v):
-        total = np.asarray(background.value(x, y, u, v), dtype=float).copy()
-        for chart, model in zip(scene.charts, models):
-            chi, _, _ = cutoff_jets(
-                chart.cutoff_argument(x, y, u, v), *chart.cutoff_interval()
-            )
-            total = total + chi * (model.value(x, y, u, v) - total)
-        return total
-
-    return ScalarField(name="PatchedScene", value=value)
+    return Scene((ModelChart(MODEL_DOUBLE_POINT, radius),))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +155,15 @@ def build_patched_rho(scene: Scene) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _tau_chart_jets(chart: ModelChart, x, y, u, v):
-    """Value, complex gradient (tau_z, tau_w), and Levi entries of one
-    chart's term chi(c) * (|z_loc|^2 + |w_loc|^2)."""
-    lx, ly, lu, lv = chart.local_coords(x, y, u, v)
-    z = lx + 1j * ly
-    w = lu + 1j * lv
+def tau_jets(scene: Scene, x, y, u, v):
+    """Value, complex gradient (tau_z, tau_w), and Levi entries of the
+    scene chart's term chi(c) * (|z|^2 + |w|^2)."""
+    chart = scene.charts[0]
+    z = x + 1j * y
+    w = u + 1j * v
     zbar = np.conj(z)
     wbar = np.conj(w)
-    q = (lx * lx + ly * ly) + (lu * lu + lv * lv)
+    q = (x * x + y * y) + (u * u + v * v)
     c = chart.cutoff_argument(x, y, u, v)
     chi, chi1, chi2 = cutoff_jets(c, *chart.cutoff_interval())
 
@@ -316,31 +182,11 @@ def _tau_chart_jets(chart: ModelChart, x, y, u, v):
         # c = q: chi_z = chi' zbar, etc.
         tau_z = chi1 * zbar * q + chi * zbar
         tau_w = chi1 * wbar * q + chi * wbar
-        t11 = (chi2 * (lx * lx + ly * ly) + chi1) * q + 2.0 * chi1 * (lx * lx + ly * ly) + chi
-        t22 = (chi2 * (lu * lu + lv * lv) + chi1) * q + 2.0 * chi1 * (lu * lu + lv * lv) + chi
+        t11 = (chi2 * (x * x + y * y) + chi1) * q + 2.0 * chi1 * (x * x + y * y) + chi
+        t22 = (chi2 * (u * u + v * v) + chi1) * q + 2.0 * chi1 * (u * u + v * v) + chi
         t12 = chi2 * zbar * w * q + 2.0 * chi1 * zbar * w
 
     return chi * q, tau_z, tau_w, t11, t22, t12
-
-
-def tau_jets(scene: Scene, x, y, u, v):
-    """Summed tau value, complex gradient, and Levi entries over charts."""
-    shape = np.broadcast(x, y, u, v).shape
-    val = np.zeros(shape)
-    tz = np.zeros(shape, dtype=complex)
-    tw = np.zeros(shape, dtype=complex)
-    a11 = np.zeros(shape)
-    a22 = np.zeros(shape)
-    a12 = np.zeros(shape, dtype=complex)
-    for chart in scene.charts:
-        cv, ctz, ctw, c11, c22, c12 = _tau_chart_jets(chart, x, y, u, v)
-        val = val + cv
-        tz = tz + ctz
-        tw = tw + ctw
-        a11 = a11 + c11
-        a22 = a22 + c22
-        a12 = a12 + c12
-    return val, tz, tw, a11, a22, a12
 
 
 def tau_field(scene: Scene) -> ScalarField:
@@ -386,15 +232,12 @@ def exhaustion_certificate(
         raise GeometryError(f"epsilon must be positive, got {epsilon}")
     if delta <= 0:
         raise GeometryError(f"delta must be positive, got {delta}")
-    if scene.tubular != TUBULAR_MODEL:
-        raise GeometryError("exhaustion certificates need the 'model' tubular extension")
     collar = 0.1 * epsilon if collar is None else collar
     if not 0 < collar < epsilon:
         raise GeometryError(f"collar must lie in (0, epsilon), got {collar}")
     box = Box4.symmetric(1.0) if box is None else box
-    rho = build_patched_rho(scene)
-    if not rho.has_jets:
-        raise GeometryError("exhaustion certificates need closed-form jets for rho")
+    chart = scene.charts[0]
+    rho = model_field(chart.kind)
 
     best = math.inf
     best_at = None

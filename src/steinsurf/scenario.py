@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -496,9 +497,16 @@ def _sample_sublevel(field, rng, level: float, half_width: float):
     raise NumericalError("could not sample a start point below the level")
 
 
+# Each flow start samples a point and runs one RK4 flow per model (a few
+# milliseconds), so the start count is bounded before any sampling.
+MAX_FLOW_STARTS = 1 << 13
+
+
 def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> list[dict]:
     if n < 1 or seed < 0:
         raise GeometryError(f"flow needs n >= 1 starts and a seed >= 0, got n={n}, seed={seed}")
+    if n > MAX_FLOW_STARTS:
+        raise GeometryError(f"flow n={n} is more than MAX_FLOW_STARTS = {MAX_FLOW_STARTS} starts")
     checks = []
     for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
         fld = model_field(kind)
@@ -544,6 +552,12 @@ _SUITE_RUNNERS = {
 
 
 def _run_verify_local(task: VerifyLocalTask) -> tuple[bool, dict]:
+    for name, value in task.params.items():
+        if not math.isfinite(value):
+            raise GeometryError(
+                f"{name.replace('_', ' ')} must be finite, got {value} "
+                f"({task.suite} parameter {name!r})"
+            )
     checks = _SUITE_RUNNERS[task.suite](**task.params)
     passed = all(c["pass"] for c in checks)
     return passed, {"suite": task.suite, "checks": checks}

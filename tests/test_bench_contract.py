@@ -37,6 +37,17 @@ def test_traced_fd_sweep_costs_25_field_evaluations_per_point(tmp_path, capsys):
     assert metrics["localgeo.fields.evals_per_fd_point"] == 25
 
 
+def test_traced_exhaustion_counts_scene_and_field_points(capsys):
+    """exhaustion_certificate must build rho through scenes.model_field, the
+    name the tracer wraps; otherwise the field counts read 0."""
+    code, metrics = _traced(["verify-local", "--suite", "exhaustion", "--grid-step", "0.5"],
+                            capsys)
+    assert code == 0
+    assert metrics["localgeo.scenes.grid_points"] > 0
+    assert metrics["localgeo.scenes.masked_points"] > 0
+    assert metrics["localgeo.fields.value_points"] > 0
+
+
 def _traced(argv, capsys):
     tracer = Tracer()
     main = tracer.begin_pass(steinsurf.cli.main)

@@ -25,6 +25,7 @@ from steinsurf.invariants import (
     unoriented_class,
 )
 from steinsurf.scenario import Report, load_scenario, run_scenario
+from steinsurf.scenario import MAX_FLOW_STARTS
 from steinsurf.surgery import (
     MAX_PLAN_STEPS,
     STEP_ATTACH_TORUS,
@@ -263,6 +264,29 @@ def test_flow_refuses_runs_without_starts(n):
     (result,) = run_scenario(_suite("flow", n=n)).results
     assert not result.passed
     assert "n >= 1" in result.details["error"]
+
+
+@pytest.mark.parametrize("n", [MAX_FLOW_STARTS + 1, 10**9])
+def test_flow_refuses_more_starts_than_its_budget(n):
+    started = time.perf_counter()
+    (result,) = run_scenario(_suite("flow", n=n)).results
+    assert time.perf_counter() - started < 1.0
+    assert not result.passed
+    assert f"MAX_FLOW_STARTS = {MAX_FLOW_STARTS}" in result.details["error"]
+
+
+NUMBER_PARAMS = [(suite, name) for suite, name, default in SUITE_PARAMS
+                 if not isinstance(default, int)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("suite,name", NUMBER_PARAMS)
+def test_non_finite_suite_numbers_are_task_errors_naming_the_parameter(suite, name, value):
+    started = time.perf_counter()
+    (result,) = run_scenario(_suite(suite, **{name: value})).results
+    assert time.perf_counter() - started < 1.0
+    assert not result.passed
+    assert repr(name) in result.details["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for scene assembly, the localization term, the exhaustion
 certificate, and gradient descent onto the model surfaces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,10 @@ from steinsurf.localgeo import (
     PointC2,
     ScalarField,
     Scene,
-    build_patched_rho,
     bump_jets,
     cutoff_jets,
     double_point_scene,
     exhaustion_certificate,
-    flat_scene,
     flow_to_surface,
     levi_fd,
     model_field,
@@ -27,14 +26,7 @@ from steinsurf.localgeo import (
     tau_field,
 )
 from steinsurf.localgeo.fields import MODEL_DOUBLE_POINT, MODEL_SPECIAL_HYPERBOLIC
-from steinsurf.localgeo.scenes import (
-    BACKGROUND_NONE,
-    DOUBLE_CUTOFF,
-    HYPERBOLIC_CUTOFF,
-    TUBULAR_EUCLIDEAN,
-)
-
-ORIGIN = PointC2(0j, 0j)
+from steinsurf.localgeo.scenes import DOUBLE_CUTOFF, HYPERBOLIC_CUTOFF
 
 
 # ---------------------------------------------------------------------------
@@ -84,111 +76,36 @@ def test_cutoff_plateaus_and_slope():
 
 def test_chart_validation_and_cutoff_intervals():
     with pytest.raises(GeometryError):
-        ModelChart("Cusp", ORIGIN, 1.0)
+        ModelChart("Cusp", 1.0)
     with pytest.raises(GeometryError):
-        ModelChart(MODEL_DOUBLE_POINT, ORIGIN, 0.0)
-    hyp = ModelChart(MODEL_SPECIAL_HYPERBOLIC, ORIGIN, 2.0)
+        ModelChart(MODEL_DOUBLE_POINT, 0.0)
+    hyp = ModelChart(MODEL_SPECIAL_HYPERBOLIC, 2.0)
     assert hyp.cutoff_interval() == (
         HYPERBOLIC_CUTOFF[0] * 2.0,
         HYPERBOLIC_CUTOFF[1] * 2.0,
     )
-    dbl = ModelChart(MODEL_DOUBLE_POINT, ORIGIN, 2.0)
+    dbl = ModelChart(MODEL_DOUBLE_POINT, 2.0)
     assert dbl.cutoff_interval() == DOUBLE_CUTOFF
 
 
-def test_scene_rejects_overlapping_charts():
-    near = ModelChart(MODEL_DOUBLE_POINT, PointC2(1.5 + 0j, 0j), 1.0)
-    far = ModelChart(MODEL_DOUBLE_POINT, PointC2(2.5 + 0j, 0j), 1.0)
-    center = ModelChart(MODEL_DOUBLE_POINT, ORIGIN, 1.0)
-    with pytest.raises(GeometryError):
-        Scene((center, near))
-    Scene((center, far))  # tangent circles plus margin are fine
-
-
-def test_scene_mode_validation():
-    chart = ModelChart(MODEL_DOUBLE_POINT, ORIGIN, 1.0)
-    with pytest.raises(GeometryError):
-        Scene((), background=BACKGROUND_NONE)
-    with pytest.raises(GeometryError):
-        Scene((chart,), background="checkerboard")
-    with pytest.raises(GeometryError):
-        Scene((chart,), tubular="polar")
-    hyp = ModelChart(MODEL_SPECIAL_HYPERBOLIC, ORIGIN, 1.0)
-    with pytest.raises(GeometryError):
-        Scene((hyp,), background=BACKGROUND_NONE, tubular=TUBULAR_EUCLIDEAN)
-
-
-# ---------------------------------------------------------------------------
-# Patched neighborhood functions
-# ---------------------------------------------------------------------------
+def test_scene_holds_exactly_one_chart():
+    chart = ModelChart(MODEL_DOUBLE_POINT, 1.0)
+    assert Scene([chart]).charts == (chart,)
+    for charts in ((), (chart, chart)):
+        with pytest.raises(GeometryError):
+            Scene(charts)
 
 
 def test_single_chart_scene_is_the_model_field():
-    scene = special_hyperbolic_scene()
-    rho = build_patched_rho(scene)
-    model = model_field(MODEL_SPECIAL_HYPERBOLIC)
-    assert rho.has_jets
-    rng = np.random.default_rng(7)
-    for coords in rng.uniform(-0.8, 0.8, (10, 4)):
-        p = PointC2.from_reals(*coords)
-        assert rho.value_at(p) == model.value_at(p)
-
-
-def test_shifted_chart_recenters_the_model():
-    center = PointC2.from_reals(0.5, 0.0, -0.25, 0.0)
-    scene = Scene(
-        (ModelChart(MODEL_DOUBLE_POINT, center, 1.0),), background=BACKGROUND_NONE
-    )
-    rho = build_patched_rho(scene)
-    assert rho.value_at(center) == 0.0
-    model = model_field(MODEL_DOUBLE_POINT)
-    assert rho.value_at(PointC2.from_reals(0.6, 0.2, -0.15, 0.3)) == pytest.approx(
-        model.value_at(PointC2.from_reals(0.1, 0.2, 0.1, 0.3))
-    )
-
-
-def test_euclidean_tubular_blend():
-    scene = Scene(
-        (ModelChart(MODEL_DOUBLE_POINT, ORIGIN, 1.0),),
-        background=BACKGROUND_NONE,
-        tubular=TUBULAR_EUCLIDEAN,
-    )
-    rho = build_patched_rho(scene)
-    assert not rho.has_jets
-
-    def planes_product(x, y, u, v):
-        return (x * x + u * u) * (y * y + v * v)
-
-    # inside the inner threshold the blend equals the model product
-    assert rho.value_at(PointC2.from_reals(0.1, 0.1, 0.1, 0.1)) == pytest.approx(
-        planes_product(0.1, 0.1, 0.1, 0.1)
-    )
-    # outside the outer threshold it is the euclidean distance squared
-    x, y, u, v = 0.6, 0.6, 0.3, 0.3
-    assert x * x + y * y + u * u + v * v > DOUBLE_CUTOFF[1]
-    assert rho.value_at(PointC2.from_reals(x, y, u, v)) == pytest.approx(
-        min(x * x + u * u, y * y + v * v)
-    )
-
-
-def test_flat_scene_background():
-    rho = build_patched_rho(flat_scene())
-    assert rho.has_jets
-    assert rho.value_at(PointC2.from_reals(0.7, 0.0, -0.4, 0.0)) == 0.0
-    assert rho.value_at(PointC2.from_reals(0.0, 0.3, 0.0, 0.4)) == pytest.approx(0.25)
-
-
-def test_flat_background_with_chart_interpolates():
-    chart = ModelChart(MODEL_DOUBLE_POINT, ORIGIN, 1.0)
-    rho = build_patched_rho(Scene((chart,)))
-    # well inside the chart: pure model
-    assert rho.value_at(PointC2.from_reals(0.2, 0.2, 0.1, 0.1)) == pytest.approx(
-        model_field(MODEL_DOUBLE_POINT).value_at(PointC2.from_reals(0.2, 0.2, 0.1, 0.1))
-    )
-    # well outside: pure background
-    far = PointC2.from_reals(0.9, 0.3, 0.0, 0.2)
-    assert sum(c * c for c in far.reals) > DOUBLE_CUTOFF[1]
-    assert rho.value_at(far) == pytest.approx(0.3 * 0.3 + 0.2 * 0.2)
+    """The exhaustion's rho is the chart's model field: it masks exactly
+    the grid nodes where the model lies below eps - collar."""
+    box = Box4.symmetric(0.5)
+    x, y, u, v = np.meshgrid(*box.axes(0.1), indexing="ij")
+    for scene in (special_hyperbolic_scene(), double_point_scene()):
+        model = model_field(scene.charts[0].kind)
+        below = np.count_nonzero(model.value(x, y, u, v) < 0.01 - 0.1 * 0.01)
+        cert = exhaustion_certificate(scene, 0.01, 1e-3, 0.1, box=box)
+        assert 0 < cert.witnesses[1].value == below < x.size
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +168,12 @@ def test_exhaustion_validation():
         exhaustion_certificate(scene, 0.01, 0.0, 0.25)
     with pytest.raises(GeometryError):
         exhaustion_certificate(scene, 0.01, 1e-3, 0.25, collar=0.02)
-    euclid = Scene(
-        (ModelChart(MODEL_DOUBLE_POINT, ORIGIN, 1.0),),
-        background=BACKGROUND_NONE,
-        tubular=TUBULAR_EUCLIDEAN,
-    )
-    with pytest.raises(GeometryError):
-        exhaustion_certificate(euclid, 0.01, 1e-3, 0.25)
 
 
 def test_exhaustion_needs_points_near_the_surface():
     off_surface_box = Box4((0.3, 0.3, 0.3, 0.3), (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(GeometryError):
-        exhaustion_certificate(flat_scene(), 1e-9, 1e-3, 0.5, box=off_surface_box)
+        exhaustion_certificate(double_point_scene(), 1e-9, 1e-3, 0.5, box=off_surface_box)
 
 
 @pytest.mark.parametrize(
@@ -294,10 +204,16 @@ def test_exhaustion_fails_with_large_weight_in_the_annulus(scene):
     assert lo < c < hi  # the negative curvature comes from the cutoff annulus
 
 
-def test_exhaustion_flat_scene_margin():
-    cert = exhaustion_certificate(flat_scene(), 0.01, 1e-3, grid_step=0.5)
+def test_exhaustion_margin_at_the_double_point_is_the_weight():
+    """At the origin rho and its gradient and Levi form vanish and tau is
+    |z|^2 + |w|^2, so the assembled Levi form there is exactly delta * I."""
+    cert = exhaustion_certificate(double_point_scene(), 0.01, 1e-3, 0.01,
+                                  box=Box4.symmetric(0.01))
     assert cert.passed
-    assert cert.witnesses[0].value == pytest.approx(50.0)
+    eig, masked = cert.witnesses
+    assert eig.point == ["phi_levi_min", 0.0, 0.0, 0.0, 0.0]
+    assert eig.value == pytest.approx(1e-3, rel=1e-12)
+    assert masked.value == 3 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +234,29 @@ def test_flow_reaches_the_surface_monotonically(kind):
         "final_value": result.final_value,
         "converged": True,
     }
+
+
+def test_flow_evaluates_the_field_once_per_attempted_step():
+    """Every RK4 attempt makes four gradient calls and, inside the box, one
+    value call; an accepted step reuses that value instead of a second."""
+    base = model_field(MODEL_SPECIAL_HYPERBOLIC)
+    calls = {"value": 0, "gradient": 0}
+
+    def counted(kind, fn):
+        def wrapped(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapped
+
+    fld = dataclasses.replace(base, value=counted("value", base.value),
+                              gradient=counted("gradient", base.gradient))
+    start = PointC2.from_reals(0.5, 0.4, 0.3, 0.2)
+    result = flow_to_surface(fld, start)
+    attempts, rest = divmod(calls["gradient"], 4)
+    assert rest == 0
+    assert attempts > len(result.trajectory) - 1 > 0  # some steps were rejected
+    assert calls["value"] == 1 + attempts
+    assert result == flow_to_surface(base, start)
 
 
 def test_flow_from_the_surface_is_immediate():

@@ -455,6 +455,35 @@ def test_plan_rejects_malformed_targets():
         assert exc.value.rule == "input"
 
 
+PLAN_TARGETS = [
+    PlanTarget(orientable=True, genus=3, degree=1),
+    PlanTarget(orientable=True, genus=2, delta_plus=4, degree=1),
+    PlanTarget(orientable=True, genus=9, delta_plus=2, degree=3),
+    PlanTarget(orientable=False, genus=5),
+]
+
+
+@pytest.mark.parametrize("target", PLAN_TARGETS, ids=["embedded", "immersed", "cubic", "rp2"])
+def test_plan_replays_its_steps_once(monkeypatch, target):
+    """The planner states the target class and lets the recipe's own
+    replay check it, instead of replaying once more to find it."""
+    calls = []
+
+    def counting(base, steps):
+        calls.append(len(steps))
+        return replay(base, steps)
+
+    monkeypatch.setattr(sg, "replay", counting)
+    recipe = plan_cp2(target)
+    assert calls == [len(recipe.steps)]
+
+
+def test_plan_whose_steps_miss_the_target_is_refused(monkeypatch):
+    monkeypatch.setattr(sg, "cp2_curve_class", lambda d: cp2_curve_class(d + 1))
+    with pytest.raises(SurgeryError, match="expected class"):
+        plan_cp2(PlanTarget(orientable=True, genus=10, degree=1))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3))
 def test_plan_round_trip(degree, extra_genus, delta_plus):
