@@ -22,6 +22,7 @@ The two models:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,12 +65,14 @@ class ScalarField:
             raise GeometryError(f"field {self.name} non-finite at {p.reals}")
         return out
 
-    def gradient_at(self, p: PointC2) -> np.ndarray:
-        x, y, u, v = p.reals
+    def gradient_fn(self) -> Callable:
+        """``gradient``, or central differences of ``value`` without it."""
         if self.gradient is not None:
-            g = np.array(self.gradient(x, y, u, v), dtype=float)
-        else:
-            g = np.array(fd_gradient_arrays(self.value, x, y, u, v, self.fd_step))
+            return self.gradient
+        return functools.partial(fd_gradient_arrays, self.value, h=self.fd_step)
+
+    def gradient_at(self, p: PointC2) -> np.ndarray:
+        g = np.array(self.gradient_fn()(*p.reals), dtype=float)
         if not np.all(np.isfinite(g)):
             raise GeometryError(f"gradient of {self.name} non-finite at {p.reals}")
         return g.reshape(4)

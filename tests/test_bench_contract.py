@@ -89,3 +89,18 @@ def test_traced_subcommands_go_through_load_scenario(capsys):
     assert metrics["scenario.tasks"] == 1
     assert metrics["scenario.load_s"] > 0
     assert metrics["surgery.step_records"] == 5
+
+
+def test_traced_flow_counts_starts_steps_and_scalar_calls(tmp_path, capsys):
+    """The flow stepper must call the field's own value and gradient, the
+    callables the tracer wraps; otherwise the flow counts read 0."""
+    n = 3
+    scenario = {"schema": 1, "tasks": [
+        {"task": "verify-local", "suite": "flow", "params": {"seed": 3, "n": n}}]}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(scenario))
+    code, metrics = _traced(["check", str(path)], capsys)
+    assert code == 0
+    assert metrics["localgeo.flow.starts"] == 2 * n
+    assert metrics["localgeo.flow.steps_attempted"] > 0
+    assert metrics["localgeo.fields.scalar_calls"] > 0

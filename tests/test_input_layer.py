@@ -7,6 +7,7 @@ import inspect
 import json
 import re
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,49 @@ def test_flow_refuses_more_starts_than_its_budget(n):
     assert time.perf_counter() - started < 1.0
     assert not result.passed
     assert f"MAX_FLOW_STARTS = {MAX_FLOW_STARTS}" in result.details["error"]
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0])
+def test_flow_refuses_a_level_nothing_lies_below(level):
+    """rho is never negative, so no start can be sampled below level <= 0."""
+    started = time.perf_counter()
+    (result,) = scenario.verify_local("flow", {"level": level}).results
+    assert time.perf_counter() - started < 0.1
+    assert not result.passed
+    assert "level" in result.details["error"]
+
+
+@pytest.mark.parametrize("suite,params", [
+    ("psh_models", {"tol": -1e300, "grid_step": 0.5}),
+    ("sigma_handles", {"tol": -1.0}),
+])
+def test_negative_tolerance_is_a_task_error_naming_tol(suite, params):
+    (result,) = scenario.verify_local(suite, params).results
+    assert not result.passed
+    assert "tol" in result.details["error"]
+
+
+@pytest.mark.parametrize("suite,params", [
+    ("psh_models", {"tol": 0.0, "grid_step": 0.5}),
+    ("sigma_handles", {"tol": 0.0}),
+])
+def test_zero_tolerance_is_accepted(suite, params):
+    (result,) = scenario.verify_local(suite, params).results
+    assert "error" not in result.details
+
+
+@pytest.mark.parametrize("suite,params", [
+    ("windings", {"radius": 1e300}),
+    ("sigma_handles", {"epsilon": 1e300}),
+])
+def test_overflowing_tangents_are_a_quiet_task_error(suite, params, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (result,) = scenario.verify_local(suite, params).results
+    assert capsys.readouterr().err == ""
+    assert not caught
+    assert not result.passed
+    assert "non-finite tangent data" in result.details["error"]
 
 
 NUMBER_PARAMS = [(suite, name) for suite, name, default in SUITE_PARAMS

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steinsurf import scenario
 from steinsurf.certificates import RULE_EXHAUSTION
 from steinsurf.errors import GeometryError
 from steinsurf.localgeo import (
@@ -19,13 +22,15 @@ from steinsurf.localgeo import (
     cutoff_jets,
     double_point_scene,
     exhaustion_certificate,
+    fd_gradient_arrays,
     flow_to_surface,
     levi_fd,
     model_field,
     special_hyperbolic_scene,
     tau_field,
 )
-from steinsurf.localgeo.fields import MODEL_DOUBLE_POINT, MODEL_SPECIAL_HYPERBOLIC
+from steinsurf.localgeo import flow
+from steinsurf.localgeo.fields import MODEL_DOUBLE_POINT, MODEL_KINDS, MODEL_SPECIAL_HYPERBOLIC
 from steinsurf.localgeo.scenes import DOUBLE_CUTOFF, HYPERBOLIC_CUTOFF
 
 
@@ -257,6 +262,83 @@ def test_flow_evaluates_the_field_once_per_attempted_step():
     assert attempts > len(result.trajectory) - 1 > 0  # some steps were rejected
     assert calls["value"] == 1 + attempts
     assert result == flow_to_surface(base, start)
+
+
+def _reference_descent(field, coords):
+    x, y, u, v = PointC2.from_reals(*coords).reals
+    if field.gradient is not None:
+        g = np.array(field.gradient(x, y, u, v), dtype=float)
+    else:
+        g = np.array(fd_gradient_arrays(field.value, x, y, u, v, field.fd_step))
+    if not np.all(np.isfinite(g)):
+        raise GeometryError(f"gradient of {field.name} non-finite at {(x, y, u, v)}")
+    return -g.reshape(4)
+
+
+def _reference_flow(field, start, step=0.05, max_iters=5000):
+    """The numpy-vector RK4 stepper with a PointC2 per stage, the reference
+    the float stepper must match bit for bit."""
+    box = Box4.symmetric(2.0)
+    coords = np.array(start.reals, dtype=float)
+    value = float(field.value_at(start))
+    trajectory, values = [start], [value]
+    dt = step
+    converged = value <= flow.CONVERGED_VALUE
+    for _ in range(max_iters):
+        if converged:
+            break
+        k1 = _reference_descent(field, coords)
+        k2 = _reference_descent(field, coords + 0.5 * dt * k1)
+        k3 = _reference_descent(field, coords + 0.5 * dt * k2)
+        k4 = _reference_descent(field, coords + dt * k3)
+        candidate = coords + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        point = PointC2.from_reals(*candidate)
+        inside = box.contains(point)
+        new_value = float(field.value_at(point)) if inside else None
+        if not inside or new_value >= value:
+            dt *= 0.5
+            if dt < flow._MIN_STEP:
+                if not inside:
+                    raise GeometryError("escaped")
+                break
+            continue
+        coords, value = candidate, new_value
+        trajectory.append(point)
+        values.append(value)
+        dt *= flow._GROWTH
+        converged = value <= flow.CONVERGED_VALUE
+    return flow.FlowResult(tuple(trajectory), tuple(values), value, converged)
+
+
+def _reference_sample(field, rng, level, half_width):
+    """The PointC2-per-trial start sampler the suite used before."""
+    for _ in range(100000):
+        p = PointC2.from_reals(*rng.uniform(-half_width, half_width, size=4))
+        if float(field.value_at(p)) < level:
+            return p
+    raise AssertionError("no start below the level")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), level=st.floats(1e-3, 0.05))
+@pytest.mark.parametrize("jets", [True, False])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_float_flow_is_bit_identical_to_the_numpy_stepper(kind, jets, seed, level):
+    fld = model_field(kind, with_jets=jets)
+    start = _reference_sample(fld, np.random.default_rng(seed), level, 0.6)
+    result, expected = flow_to_surface(fld, start), _reference_flow(fld, start)
+    assert result == expected
+    assert repr(result) == repr(expected)  # signed zeros too
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_sampler_draws_the_starts_of_the_pointc2_sampler(kind):
+    fld = model_field(kind)
+    for seed in range(5):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            start = scenario._sample_sublevel(fld, new, 0.01, 0.6)
+            assert start == _reference_sample(fld, old, 0.01, 0.6)
 
 
 def test_flow_from_the_surface_is_immediate():
