@@ -59,45 +59,3 @@ from .surgery import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbientDescriptor",
-    "Certificate",
-    "GeometryError",
-    "ImmersionClass",
-    "IndexReport",
-    "InfeasibleTargetError",
-    "InvalidClassError",
-    "NormalForm",
-    "NumericalError",
-    "PlanTarget",
-    "ScenarioError",
-    "SteinsurfError",
-    "SurfaceTopology",
-    "SurgeryError",
-    "SurgeryRecipe",
-    "SurgeryStep",
-    "Verdict",
-    "Witness",
-    "adjunction_rhs",
-    "attach",
-    "check_adjunction",
-    "connected_sum",
-    "genus_formula",
-    "invariants",
-    "lai",
-    "localgeo",
-    "normalize_complex_points",
-    "oriented_class",
-    "plan_cp2",
-    "replay",
-    "replay_trace",
-    "resolve_double_point",
-    "scenario",
-    "stein_condition",
-    "surgery",
-    "unoriented_class",
-    "validate",
-    "verdict",
-    "__version__",
-]

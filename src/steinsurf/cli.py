@@ -11,14 +11,18 @@ Subcommands:
 
 Exit codes: 0 when the report passes, 1 when any task fails, 2 for
 unparseable input.  JSON reports are deterministic; timing is emitted
-only in text mode or with ``--timing``.
+only in text mode or with ``--timing``.  A JSON report holds only dict,
+list, str, int, float, bool and null, and its bytes are exactly those of
+``json.dumps(report, indent=2, sort_keys=True)``; ``render`` writes them
+with its own emitter because the stdlib encoder falls back to pure
+Python whenever ``indent`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ScenarioError
 from .scenario import (
@@ -91,10 +95,97 @@ def _scenario(args: argparse.Namespace) -> str | dict:
     return {"schema": SCHEMA_VERSION, "tasks": [task]}
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# Keyed on the exact type; bool has its own entry, so it never reaches int.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _subclass_scalar(value: object) -> str:
+    """A str, int or float subclass (``np.float64``, say), written as the
+    stdlib writes it; any other type is refused."""
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALARS[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def dumps(obj: object) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of dict (str keys only), list, tuple, str, int, float, bool and
+    None; raises TypeError on any other value or key type."""
+    out: list[str] = []
+    append = out.append
+    scalar = _SCALARS.get
+    pads = ["\n"]  # pads[d] is a newline and d indents
+    # heads[d] maps each key of a dict at depth d to "{" (first key) or
+    # "," (later keys), then pads[d + 1], the quoted key and ": ".
+    heads: list[tuple[dict, dict]] = []
+
+    def emit(value: object, depth: int) -> None:
+        fmt = scalar(type(value))
+        if fmt is not None:
+            append(fmt(value))
+        elif not isinstance(value, (dict, list, tuple)):
+            append(_subclass_scalar(value))
+        elif not value:
+            append("{}" if isinstance(value, dict) else "[]")
+        else:
+            if len(pads) == depth + 1:
+                pads.append(pads[depth] + "  ")
+                heads.append(({}, {}))
+            pad = pads[depth + 1]
+            # The loops format exact scalar types inline, saving a call per leaf.
+            if isinstance(value, dict):
+                cache, rest = heads[depth]
+                lead = "{"
+                for key in sorted(value):
+                    head = cache.get(key)
+                    if head is None:
+                        if not isinstance(key, str):
+                            raise TypeError(f"keys must be str, not {type(key).__name__}")
+                        head = cache[key] = lead + pad + _quote(key) + ": "
+                    append(head)
+                    cache, lead = rest, ","
+                    item = value[key]
+                    fmt = scalar(type(item))
+                    if fmt is None:
+                        emit(item, depth + 1)
+                    else:
+                        append(fmt(item))
+                append(pads[depth] + "}")
+            else:
+                lead, comma = "[" + pad, "," + pad
+                for item in value:
+                    append(lead)
+                    lead = comma
+                    fmt = scalar(type(item))
+                    if fmt is None:
+                        emit(item, depth + 1)
+                    else:
+                        append(fmt(item))
+                append(pads[depth] + "]")
+
+    emit(obj, 0)
+    return "".join(out)
+
+
 def render(report: Report, fmt: str, timing: bool) -> str:
     if fmt == "text":
         return report.to_text()
-    return json.dumps(report.to_json(include_timing=timing), indent=2, sort_keys=True)
+    return dumps(report.to_json(include_timing=timing))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -323,8 +323,8 @@ def _refine_zero(
             sign = _orientation_sign(patch, sc, tc)
             found.append(
                 LocatedComplexPoint(
-                    s=sc,
-                    t=tc,
+                    s=float(sc),
+                    t=float(tc),
                     point=patch.point(sc, tc),
                     index=sign * w,
                     raw_winding=w,

@@ -29,6 +29,7 @@ wall-clock timing only in the text emitter or behind an explicit flag.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import math
 import time
@@ -496,19 +497,27 @@ def _suite_weinstein(grid_step: float = 0.1) -> list[dict]:
     return checks
 
 
-def _sample_sublevel(field, rng, level: float, half_width: float):
+def _sample_sublevel(field, rng, level: float, half_width: float, draws):
+    """Draw points of the box until rho < level; each draw takes one item of
+    ``draws``, an iterator shared by every start of a flow run."""
     value = field.value
-    for _ in range(100000):
+    for _ in draws:
         coords = rng.uniform(-half_width, half_width, size=4).tolist()
         if float(value(*coords)) < level:
             return PointC2.from_reals(*coords)
-    raise NumericalError("could not sample a start point below the level")
+    raise NumericalError(
+        f"flow level={level} left no start after MAX_FLOW_DRAWS = {MAX_FLOW_DRAWS} "
+        "draws over all starts; raise level"
+    )
 
 
 # Each flow start samples a point and runs one RK4 flow per model (about
 # 0.6 ms for both on a 2-vCPU Xeon), so the start count is bounded before
-# any sampling.
+# any sampling.  A draw costs about 5 us; at the default level a start
+# pair takes about 51 draws, so MAX_FLOW_STARTS pairs fit in the one draw
+# budget of a run, while a level near 0 is refused after about 5 s.
 MAX_FLOW_STARTS = 1 << 13
+MAX_FLOW_DRAWS = 1 << 20
 
 
 def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> list[dict]:
@@ -519,13 +528,14 @@ def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> l
     if level <= 0:
         raise GeometryError(f"flow needs level > 0 (rho is never negative), got level={level}")
     checks = []
+    draws = itertools.repeat(None, MAX_FLOW_DRAWS)
     for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
         fld = model_field(kind)
         rng = np.random.default_rng(seed)
         worst = 0.0
         ok = True
         for _ in range(n):
-            start = _sample_sublevel(fld, rng, level, 0.6)
+            start = _sample_sublevel(fld, rng, level, 0.6, draws)
             res = flow_to_surface(fld, start)
             monotone = all(b < a for a, b in zip(res.values, res.values[1:]))
             ok = ok and res.converged and monotone

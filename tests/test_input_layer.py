@@ -276,6 +276,17 @@ def test_flow_refuses_more_starts_than_its_budget(n):
     assert f"MAX_FLOW_STARTS = {MAX_FLOW_STARTS}" in result.details["error"]
 
 
+def test_flow_bounds_its_draws_over_all_starts():
+    """At level 1e-4 a start pair needs about 3.8 k draws, so 8192 starts
+    spend MAX_FLOW_DRAWS long before the last start."""
+    started = time.perf_counter()
+    (result,) = scenario.verify_local("flow", {"level": 1e-4, "n": 8192}).results
+    assert time.perf_counter() - started < 10.0
+    assert not result.passed
+    assert "level=0.0001" in result.details["error"]
+    assert f"MAX_FLOW_DRAWS = {scenario.MAX_FLOW_DRAWS}" in result.details["error"]
+
+
 @pytest.mark.parametrize("level", [0.0, -1.0])
 def test_flow_refuses_a_level_nothing_lies_below(level):
     """rho is never negative, so no start can be sampled below level <= 0."""

@@ -1,0 +1,98 @@
+"""The JSON report emitter: byte-identical to the stdlib's indented,
+key-sorted encoder on every tree a report can hold, and refusing the rest."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from steinsurf import cli
+from steinsurf.invariants import oriented_class
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+INT64_EDGES = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64, -(2**100)]
+FLOAT_EDGES = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, 1e16, 1e-7,
+]
+
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(FLOAT_EDGES),
+)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(INT64_EDGES),
+    floats,
+    floats.map(np.float64),
+    st.text(),
+    st.text().map(_Str),
+    st.integers().map(_Int),
+)
+keys = st.one_of(st.text(), st.sampled_from(["", "é", "ключ", " ", "\x00", "😀", '"\\']))
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(keys, children, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=trees)
+def test_emitter_matches_the_stdlib_encoder(tree):
+    assert cli.dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, b"bytes", object(), 1j, np.int64(3), {1: "int key"}, [{"a": {"b": {2.5: 0}}}]],
+    ids=["set", "bytes", "object", "complex", "np.int64", "int-key", "nested-float-key"],
+)
+def test_emitter_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        cli.dumps(value)
+    with pytest.raises(TypeError):
+        cli.dumps({"report": [value]})
+
+
+def _drop_timing(report):
+    for task in report["tasks"]:
+        del task["seconds"]
+    return report
+
+
+def test_timing_report_is_the_default_report_plus_seconds(tmp_path, capsys):
+    scenario = {
+        "schema": 1,
+        "surfaces": {"torus": oriented_class(1).to_json()},
+        "tasks": [
+            {"task": "check", "surface": "torus"},
+            {"task": "plan", "target": {"orientable": True, "genus": 2,
+                                        "delta_plus": 1, "degree": 2}},
+            {"task": "verify-local", "suite": "windings", "params": {}},
+        ],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["check", str(path)])
+    default = capsys.readouterr().out
+    assert cli.main(["--timing", "check", str(path)]) == code
+    timed = json.loads(capsys.readouterr().out)
+    assert all(task["seconds"] >= 0 for task in timed["tasks"])
+    assert cli.dumps(_drop_timing(timed)) + "\n" == default

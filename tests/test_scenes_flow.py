@@ -2,6 +2,7 @@
 certificate, and gradient descent onto the model surfaces."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -336,8 +337,9 @@ def test_sampler_draws_the_starts_of_the_pointc2_sampler(kind):
     fld = model_field(kind)
     for seed in range(5):
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = itertools.repeat(None, scenario.MAX_FLOW_DRAWS)
         for _ in range(20):
-            start = scenario._sample_sublevel(fld, new, 0.01, 0.6)
+            start = scenario._sample_sublevel(fld, new, 0.01, 0.6, draws)
             assert start == _reference_sample(fld, old, 0.01, 0.6)
 
 
