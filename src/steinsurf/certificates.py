@@ -41,7 +41,8 @@ class Witness:
     """A single recorded observation backing a certificate.
 
     ``point`` is either a short label (for algebraic checks), a parameter
-    pair, or a list whose first entry is a label followed by coordinates.
+    pair, a list whose first entry is a label followed by coordinates, or
+    the real coordinates (x, y, u, v) of a point in C^2.
     ``value`` is the observed quantity.
     """
 
@@ -70,6 +71,8 @@ def _jsonable(value: Any) -> Any:
     """Coerce numpy scalars and tuples into plain JSON-friendly values."""
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, complex):

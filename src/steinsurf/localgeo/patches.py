@@ -29,6 +29,16 @@ Model patches:
   w = z zbar and w = zbar^2.
 * ``FlatDoublePoint``: the two totally real planes {y = v = 0} and
   {x = u = 0}, parametrized on two disjoint rectangles.
+
+Chunk layout.  A sweep walks each domain rectangle's node grid in blocks
+of whole rows (s fixed), at most ``sweeps.DEFAULT_CHUNK`` nodes and at
+least two rows each.  A block is evaluated on broadcast axes, the rows'
+s nodes as a column against the t nodes as a row, so a separable chart
+computes its factors once per axis and no meshgrid is built; memory is
+bounded by the block, not by the grid step.  ``locate_complex_points``
+starts each block on the last row of the one before, so every cell has
+all four corners in one block and the candidate cells come out in
+row-major order; ``min_abs_complex_det`` needs no overlap.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import numpy as np
 
 from ..errors import GeometryError
 from .geometry import OrientedPlane, PointC2
+from .sweeps import DEFAULT_CHUNK
 
 # Node grids are offset into cells by an irrational fraction of the step
 # so that zeros with rational or zero coordinates never land on a cell
@@ -49,8 +60,9 @@ GRID_OFFSET_FRACTION = 0.381966011250105
 MIN_WINDING_SAMPLES = 64
 MAX_WINDING_SAMPLES = 1 << 20
 IMMERSION_REL_TOL = 1e-12
-# Node budget of one domain rectangle's sweep grid; the finest grid in
-# use, Weinstein at step 0.004, has about 1.1e6 nodes.
+# Node budget of one domain rectangle's sweep grid, which bounds the
+# sweep's time (its memory is bounded by the row block); the finest grid
+# in use, Weinstein at step 0.004, has about 1.1e6 nodes.
 MAX_PATCH_NODES = 1 << 23
 
 MODEL_WEINSTEIN = "Weinstein"
@@ -124,14 +136,15 @@ class SurfacePatch:
         return z_s, w_s, z_t, w_t
 
 
-def _immersion_violation(z_s, w_s, z_t, w_t):
-    """Index of a parameter where the tangents are R-dependent or their
-    Gram data is not finite, with what is wrong there; or None."""
+def _immersion_violation(z_s, w_s, z_t, w_t, shape):
+    """Flat index, into the parameter ``shape``, of a parameter where the
+    tangents are R-dependent or their Gram data is not finite, with what
+    is wrong there; or None."""
     with np.errstate(all="ignore"):
         n_s = np.abs(z_s) ** 2 + np.abs(w_s) ** 2
         n_t = np.abs(z_t) ** 2 + np.abs(w_t) ** 2
         inner = np.real(z_s * np.conj(z_t) + w_s * np.conj(w_t))
-        gram = n_s * n_t - inner**2
+        gram = np.broadcast_to(n_s * n_t - inner**2, shape)
         bad = gram <= IMMERSION_REL_TOL * n_s * n_t
     # gram is finite only where both norms and their product are.
     finite = np.isfinite(gram)
@@ -143,17 +156,28 @@ def _immersion_violation(z_s, w_s, z_t, w_t):
 
 
 def det_arrays(patch: SurfacePatch, s, t, check_immersion: bool = True) -> np.ndarray:
-    """Complex determinant of the tangent pair over parameter arrays."""
+    """Complex determinant of the tangent pair over parameter arrays, in
+    the broadcast shape of ``s`` and ``t``.
+
+    With ``check_immersion`` a GeometryError names the first parameter,
+    in row-major order of that shape, with non-finite tangent data, or
+    else the first where the tangents fail to immerse.  A patch sweep
+    checks one row block at a time, so there the first offending block
+    wins, and within it non-finite data comes before a failure to
+    immerse.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
+    shape = np.broadcast(s, t).shape
     z_s, w_s, z_t, w_t = patch.tangent_arrays(s, t)
     if check_immersion:
-        violation = _immersion_violation(z_s, w_s, z_t, w_t)
+        violation = _immersion_violation(z_s, w_s, z_t, w_t, shape)
         if violation is not None:
             bad, what = violation
-            sb, tb = np.ravel(s)[bad], np.ravel(t)[bad]
+            at = np.unravel_index(bad, shape)
+            sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
             raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
-    return np.asarray(z_s * w_t - z_t * w_s, dtype=complex)
+    return np.broadcast_to(np.asarray(z_s * w_t - z_t * w_s, dtype=complex), shape)
 
 
 def complex_det(patch: SurfacePatch, s: float, t: float) -> complex:
@@ -362,7 +386,8 @@ def _refine_zero(
 def _cell_nodes(rect: Rect, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Offset node coordinates of ``rect`` at spacing ``step``; refuses a
     non-finite or non-positive step and more than MAX_PATCH_NODES nodes
-    before allocating."""
+    before allocating, and a step that leaves fewer than two nodes on an
+    axis."""
     if not (math.isfinite(step) and step > 0):
         raise GeometryError(f"grid step must be positive and finite, got {step}")
     if not (rect.s1 - rect.s0) / step * ((rect.t1 - rect.t0) / step) <= MAX_PATCH_NODES:
@@ -374,7 +399,24 @@ def _cell_nodes(rect: Rect, step: float) -> tuple[np.ndarray, np.ndarray]:
         count = max(int(math.floor((hi - lo) / step)), 2)
         nodes = lo + step * (np.arange(count) + GRID_OFFSET_FRACTION)
         out.append(nodes[nodes <= hi])
+    if len(out[0]) < 2 or len(out[1]) < 2:
+        raise GeometryError(f"grid_step {step} too coarse for {rect}")
     return out[0], out[1]
+
+
+def _det_rows(patch: SurfacePatch, s_nodes, t_nodes, overlap: int):
+    """Yield ``(first_row, det)`` over the node grid ``s_nodes x t_nodes``
+    in blocks of at most DEFAULT_CHUNK nodes (at least two rows), each
+    block starting ``overlap`` rows before the previous one ends."""
+    rows = max(DEFAULT_CHUNK // len(t_nodes), 2)
+    t = t_nodes[None, :]
+    first = 0
+    while True:
+        last = min(first + rows, len(s_nodes))
+        yield first, det_arrays(patch, s_nodes[first:last, None], t)
+        if last == len(s_nodes):
+            return
+        first = last - overlap
 
 
 def locate_complex_points(
@@ -392,30 +434,29 @@ def locate_complex_points(
     results: list[LocatedComplexPoint] = []
     for rect in patch.domain:
         s_nodes, t_nodes = _cell_nodes(rect, grid_step)
-        if len(s_nodes) < 2 or len(t_nodes) < 2:
-            raise GeometryError(f"grid_step {grid_step} too coarse for {rect}")
-        S, T = np.meshgrid(s_nodes, t_nodes, indexing="ij")
-        det = det_arrays(patch, S, T)
-        if np.any(det == 0):
-            raise GeometryError(
-                f"determinant vanishes exactly on a grid node of {patch.name}; "
-                "perturb grid_step"
-            )
-        d00 = det[:-1, :-1]
-        d10 = det[1:, :-1]
-        d11 = det[1:, 1:]
-        d01 = det[:-1, 1:]
-        e = [
-            np.angle(d10 / d00),
-            np.angle(d11 / d10),
-            np.angle(d01 / d11),
-            np.angle(d00 / d01),
-        ]
-        total = sum(e)
-        quick = np.round(total / (2 * math.pi)).astype(int)
-        fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
-        candidates = np.argwhere((quick != 0) | fast_edges)
-        for i, j in candidates:
+        cells = []
+        for first, det in _det_rows(patch, s_nodes, t_nodes, overlap=1):
+            if np.any(det == 0):
+                raise GeometryError(
+                    f"determinant vanishes exactly on a grid node of {patch.name}; "
+                    "perturb grid_step"
+                )
+            d00 = det[:-1, :-1]
+            d10 = det[1:, :-1]
+            d11 = det[1:, 1:]
+            d01 = det[:-1, 1:]
+            e = [
+                np.angle(d10 / d00),
+                np.angle(d11 / d10),
+                np.angle(d01 / d11),
+                np.angle(d00 / d01),
+            ]
+            total = sum(e)
+            quick = np.round(total / (2 * math.pi)).astype(int)
+            fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
+            candidates = np.argwhere((quick != 0) | fast_edges)
+            cells.extend((first + i, j) for i, j in candidates)
+        for i, j in cells:
             cell = Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1])
             w = _rect_winding(patch, cell)
             if w != 0:
@@ -439,9 +480,8 @@ def min_abs_complex_det(patch: SurfacePatch, grid_step: float = 0.05) -> float:
     best = math.inf
     for rect in patch.domain:
         s_nodes, t_nodes = _cell_nodes(rect, grid_step)
-        S, T = np.meshgrid(s_nodes, t_nodes, indexing="ij")
-        det = det_arrays(patch, S, T)
-        best = min(best, float(np.min(np.abs(det))))
+        for _, det in _det_rows(patch, s_nodes, t_nodes, overlap=0):
+            best = min(best, float(np.min(np.abs(det))))
     return best
 
 

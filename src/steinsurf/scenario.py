@@ -466,7 +466,7 @@ def _suite_sigma_handles(
                 float(np.linalg.norm(coords - t)) for t in targets
             ) < tol
     cert = Certificate(
-        ok, RULE_WINDING, tuple(Witness(p.to_json(), p.index) for p in points)
+        ok, RULE_WINDING, tuple(Witness(p.point.to_json(), p.index) for p in points)
     )
     checks.append({"name": "sigma-minus-four-points", "pass": ok,
                    "certificate": cert.to_json(),

@@ -2,9 +2,12 @@
 complex points, and the model charts."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from steinsurf.errors import GeometryError
 from steinsurf.localgeo import (
@@ -294,3 +297,194 @@ def test_patch_grid_budget_counts_nodes(monkeypatch):
     assert min_abs_complex_det(patch, grid_step=0.25) > 0  # 6 x 25 nodes
     with pytest.raises(GeometryError, match="more than 1000 nodes"):
         min_abs_complex_det(patch, grid_step=0.05)  # 30 x 125 nodes
+
+
+# ---------------------------------------------------------------------------
+# Row-block sweeps against the whole-grid sweeps
+# ---------------------------------------------------------------------------
+
+
+def _meshgrid_locate(patch, grid_step, tol=1e-9):
+    """Reference: locate_complex_points on one meshgrid per rectangle."""
+    results = []
+    for rect in patch.domain:
+        s_nodes, t_nodes = patches._cell_nodes(rect, grid_step)
+        S, T = np.meshgrid(s_nodes, t_nodes, indexing="ij")
+        det = patches.det_arrays(patch, S, T)
+        if np.any(det == 0):
+            raise GeometryError(
+                f"determinant vanishes exactly on a grid node of {patch.name}; "
+                "perturb grid_step"
+            )
+        d00 = det[:-1, :-1]
+        d10 = det[1:, :-1]
+        d11 = det[1:, 1:]
+        d01 = det[:-1, 1:]
+        e = [
+            np.angle(d10 / d00),
+            np.angle(d11 / d10),
+            np.angle(d01 / d11),
+            np.angle(d00 / d01),
+        ]
+        total = sum(e)
+        quick = np.round(total / (2 * math.pi)).astype(int)
+        fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
+        for i, j in np.argwhere((quick != 0) | fast_edges):
+            cell = Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1])
+            w = patches._rect_winding(patch, cell)
+            if w != 0:
+                results.extend(patches._refine_zero(patch, cell, w, tol))
+    results.sort(key=lambda r: (r.s, r.t))
+    deduped = []
+    for r in results:
+        if any(math.hypot(r.s - q.s, r.t - q.t) < 0.25 * grid_step for q in deduped):
+            continue
+        deduped.append(r)
+    return deduped
+
+
+def _meshgrid_min_abs(patch, grid_step):
+    """Reference: min_abs_complex_det on one meshgrid per rectangle."""
+    best = math.inf
+    for rect in patch.domain:
+        s_nodes, t_nodes = patches._cell_nodes(rect, grid_step)
+        S, T = np.meshgrid(s_nodes, t_nodes, indexing="ij")
+        best = min(best, float(np.min(np.abs(patches.det_arrays(patch, S, T)))))
+    return best
+
+
+def _outcome(sweep, *args):
+    try:
+        return "ok", sweep(*args)
+    except GeometryError as exc:
+        return "error", str(exc)
+
+
+_SIGMA_KINDS = (MODEL_SIGMA_MINUS, MODEL_SIGMA_PLUS)
+
+
+# Chunks of 2^6 to 2^12 nodes give blocks of 2 to about 100 rows, so
+# candidate cells straddle block edges.  The example puts SigmaMinus's
+# zeros in cell row 13, between two-row blocks [12, 14) and [14, 16):
+# without the one-row overlap no block holds that cell.
+@settings(max_examples=60, deadline=None)
+@example(kind=MODEL_SIGMA_MINUS, epsilon=0.1, step=0.055, chunk=64)
+@given(
+    kind=st.sampled_from(
+        _SIGMA_KINDS
+        + (MODEL_WEINSTEIN, MODEL_GRAPH_ELLIPTIC, MODEL_GRAPH_HYPERBOLIC,
+           MODEL_FLAT_DOUBLE_POINT)
+    ),
+    epsilon=st.floats(0.05, 0.25) | st.floats(-0.25, -0.05),
+    step=st.floats(0.03, 0.2),
+    chunk=st.integers(6, 12).map(lambda k: 1 << k),
+)
+def test_row_block_sweeps_match_the_meshgrid_sweeps(kind, epsilon, step, chunk):
+    patch = model_patch(kind, epsilon if kind in _SIGMA_KINDS else None)
+    with mock.patch.object(patches, "DEFAULT_CHUNK", chunk):
+        assert _outcome(locate_complex_points, patch, step) == _outcome(
+            _meshgrid_locate, patch, step
+        )
+        assert _outcome(min_abs_complex_det, patch, step) == _outcome(
+            _meshgrid_min_abs, patch, step
+        )
+        for rect in patch.domain:
+            s_nodes, t_nodes = patches._cell_nodes(rect, step)
+            whole = patches.det_arrays(
+                patch, *np.meshgrid(s_nodes, t_nodes, indexing="ij")
+            )
+            for overlap in (0, 1):
+                end = 0
+                for first, det in patches._det_rows(patch, s_nodes, t_nodes, overlap):
+                    assert first == max(end - overlap, 0)
+                    assert det.size <= max(chunk, 2 * len(t_nodes))
+                    end = first + len(det)
+                    assert det.tobytes() == whole[first:end].tobytes()
+                assert end == len(s_nodes)
+
+
+def _faulty_patch(fold=None, nan=None):
+    """Totally real plane (tangents (1, 0) and (0, 1)) whose t-tangent
+    turns R-dependent at s == fold[0] and t > fold[1], and whose tangent
+    data is NaN at s == nan[0] and t > nan[1]."""
+
+    def tangents(s, t):
+        s, t = np.broadcast_arrays(s, t)
+        one = np.ones(s.shape, dtype=complex)
+        z_s, w_s, z_t, w_t = one, 0 * one, 0 * one, one.copy()
+        if fold is not None:
+            folded = (s == fold[0]) & (t > fold[1])
+            z_t = np.where(folded, 1 + 0j, z_t)
+            w_t = np.where(folded, 0j, w_t)
+        if nan is not None:
+            z_s = np.where((s == nan[0]) & (t > nan[1]), np.nan, z_s)
+        return z_s, w_s, z_t, w_t
+
+    return SurfacePatch(
+        name="faulty",
+        chart=lambda s, t: (np.asarray(s) + 0j, np.asarray(t) + 0j),
+        tangents=tangents,
+        domain=(Rect(-1, 1, -1, 1),),
+    )
+
+
+# Step 0.1 gives 20 x 20 nodes; chunk 64 gives three-row blocks, so row
+# 4 lies in the second block and row 10 in a later one for both sweeps.
+_STEP, _CHUNK = 0.1, 64
+_S, _T = patches._cell_nodes(Rect(-1, 1, -1, 1), _STEP)
+
+
+def _whole_grid_error(patch):
+    with pytest.raises(GeometryError) as whole:
+        patches.det_arrays(patch, *np.meshgrid(_S, _T, indexing="ij"))
+    return str(whole.value)
+
+
+@pytest.mark.parametrize("sweep", [locate_complex_points, min_abs_complex_det])
+def test_row_block_sweeps_name_the_failing_node(monkeypatch, sweep):
+    monkeypatch.setattr(patches, "DEFAULT_CHUNK", _CHUNK)
+    patch = _faulty_patch(fold=(_S[10], _T[6]))
+    message = f"fails to immerse at (s, t) = ({_S[10]}, {_T[7]})"
+    assert message in _whole_grid_error(patch)
+    with pytest.raises(GeometryError) as chunked:
+        sweep(patch, _STEP)
+    assert str(chunked.value) == _whole_grid_error(patch)
+
+
+@pytest.mark.parametrize("sweep", [locate_complex_points, min_abs_complex_det])
+def test_row_block_sweeps_report_the_first_failing_block(monkeypatch, sweep):
+    monkeypatch.setattr(patches, "DEFAULT_CHUNK", _CHUNK)
+    # A fold in an earlier block wins over non-finite data in a later one,
+    # where the whole grid reports the non-finite data.
+    patch = _faulty_patch(fold=(_S[4], _T[15]), nan=(_S[10], _T[0]))
+    assert "has non-finite tangent data" in _whole_grid_error(patch)
+    with pytest.raises(GeometryError, match="fails to immerse") as chunked:
+        sweep(patch, _STEP)
+    assert f"({_S[4]}, {_T[16]})" in str(chunked.value)
+    # Within one block, non-finite data still comes first.
+    patch = _faulty_patch(fold=(_S[10], _T[2]), nan=(_S[10], _T[12]))
+    with pytest.raises(GeometryError) as chunked:
+        sweep(patch, _STEP)
+    assert str(chunked.value) == _whole_grid_error(patch)
+    assert f"has non-finite tangent data at (s, t) = ({_S[10]}, {_T[13]})" in str(
+        chunked.value
+    )
+
+
+# At step 0.004 the whole-grid sweep of Weinstein peaked at about 156 MB
+# of traced allocations; a row block keeps the peak near 11-13 MB at any
+# step.
+@pytest.mark.parametrize("step", [0.004, 0.002])
+@pytest.mark.parametrize(
+    "kind, epsilon", [(MODEL_WEINSTEIN, None), (MODEL_SIGMA_MINUS, 0.1)]
+)
+def test_patch_sweep_memory_does_not_grow_with_the_grid(kind, epsilon, step):
+    patch = model_patch(kind, epsilon)
+    tracemalloc.start()
+    try:
+        locate_complex_points(patch, grid_step=step)
+        min_abs_complex_det(patch, grid_step=step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
