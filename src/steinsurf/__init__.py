@@ -36,7 +36,6 @@ from .invariants import (
     Verdict,
     adjunction_rhs,
     check_adjunction,
-    genus_formula,
     lai,
     oriented_class,
     stein_condition,

@@ -18,7 +18,6 @@ RULE_INDEX_NONPOSITIVE = "index-nonpositive"
 RULE_ADJ_EMBEDDED = "adjunction-embedded"
 RULE_ADJ_IMMERSED_NECESSARY = "adjunction-immersed-necessary"
 RULE_ADJ_IMMERSED_SUFFICIENT = "adjunction-immersed-sufficient"
-RULE_GENUS_FORMULA = "genus-formula"
 RULE_STEIN_AMBIENT_EMBEDDED = "stein-ambient-embedded-adjunction"
 RULE_STEIN_AMBIENT_IMMERSED = "stein-ambient-immersed-adjunction"
 RULE_CP2_EMBEDDED_BOUND = "projective-plane-embedded-bound"
@@ -28,7 +27,6 @@ RULE_AMBIENT_NOT_STEIN = "ambient-not-stein-necessity-unresolved"
 RULE_NULL_CLASS_UNRESOLVED = "null-homologous-class-necessity-unresolved"
 RULE_GRAY_AREA = "index-positive-within-adjunction-gray-area"
 RULE_WINDING = "winding-index"
-RULE_COMPLEX_POINT_LOCATION = "complex-point-location"
 RULE_LEVI_PSH = "levi-positive-semidefinite"
 RULE_DET_IDENTITY = "levi-determinant-identity"
 RULE_EXHAUSTION = "exhaustion-strongly-psh"
@@ -68,17 +66,12 @@ class Certificate:
 
 
 def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars and tuples into plain JSON-friendly values."""
+    """Witness data as plain JSON: tuples become lists and dict keys
+    strings; any other type raises TypeError instead of being stringified."""
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, float, str)):  # bool is an int
         return value
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, float):
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return _jsonable(value.item())
-    return str(value)
+    raise TypeError(f"witness data of type {type(value).__name__} is not JSON")

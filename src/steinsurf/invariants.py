@@ -33,7 +33,6 @@ from .certificates import (
     RULE_AMBIENT_NOT_STEIN,
     RULE_CP2_EMBEDDED_BOUND,
     RULE_CP2_IMMERSED_BOUND,
-    RULE_GENUS_FORMULA,
     RULE_GRAY_AREA,
     RULE_INDEX_INTEGRALITY,
     RULE_INDEX_NONPOSITIVE,
@@ -388,26 +387,6 @@ def stein_condition(imm: ImmersionClass) -> Certificate:
     return Certificate(ok, RULE_INDEX_NONPOSITIVE, witnesses)
 
 
-def genus_formula(imm: ImmersionClass) -> Certificate:
-    """Check the genus identity for classes with no negative complex points.
-
-    When the negative index part vanishes (as for complex curves), the
-    genus is determined: g = 1 - delta + (S.S - c1.S)/2.  The certificate
-    fails either when the precondition fails or when the identity does.
-    """
-    if not imm.orientable:
-        raise InvalidClassError("genus formula applies to orientable classes only")
-    report = lai(imm)
-    witnesses = [Witness("index_negative_part", report.negative)]
-    if report.negative != 0:
-        return Certificate(False, RULE_GENUS_FORMULA, tuple(witnesses))
-    doubled = 2 - 2 * imm.delta + imm.self_intersection - imm.c1_pairing
-    assert doubled % 2 == 0
-    expected = doubled // 2
-    witnesses += [Witness("genus", imm.genus), Witness("formula_value", expected)]
-    return Certificate(imm.genus == expected, RULE_GENUS_FORMULA, tuple(witnesses))
-
-
 # ---------------------------------------------------------------------------
 # Ambient descriptions and verdicts
 # ---------------------------------------------------------------------------
@@ -530,69 +509,6 @@ _KIND_FIELDS = {
     KIND_LINE_BUNDLE: {"base_genus": "base_genus", "degree": "bundle_degree"},
     KIND_ABSTRACT: {"normal_euler": "normal_euler", "c1_pairing": "c1_pairing"},
 }
-
-
-def ambient_pairings(ambient: AmbientDescriptor, class_data) -> tuple[int, int]:
-    """Self-intersection and Chern pairing of a standard class.
-
-    ``class_data`` depends on the ambient kind: the degree of a projective
-    plane class, the bidegree pair of a quadric class, True for the zero
-    section of a line bundle, and None for the affine plane (where the
-    class is trivial) or an abstract ambient (where the descriptor already
-    stores the pairings).
-    """
-    kind = ambient.kind
-    if kind == KIND_AFFINE_PLANE:
-        if class_data is not None:
-            raise InvalidClassError("affine plane classes are trivial; pass None")
-        return (0, 0)
-    if kind == KIND_PROJECTIVE_PLANE:
-        d = _check_int64("degree", class_data)
-        return (d * d, 3 * d)
-    if kind == KIND_QUADRIC:
-        try:
-            d1, d2 = class_data
-        except (TypeError, ValueError):
-            raise InvalidClassError("quadric classes need a bidegree pair (d1, d2)") from None
-        d1 = _check_int64("d1", d1)
-        d2 = _check_int64("d2", d2)
-        return (2 * d1 * d2, 2 * (d1 + d2))
-    if kind == KIND_LINE_BUNDLE:
-        if class_data is not True:
-            raise InvalidClassError("line bundle pairings are for the zero section; pass True")
-        e = ambient.bundle_degree
-        chi = 2 - 2 * ambient.base_genus
-        return (e, chi + e)
-    # Abstract: the descriptor carries the pairings.
-    if class_data is not None:
-        raise InvalidClassError("abstract ambient stores its pairings; pass None")
-    return (ambient.normal_euler, ambient.c1_pairing)
-
-
-def line_bundle_threshold(base_genus: int) -> int:
-    """Largest bundle degree whose zero section satisfies the index
-    condition: 2g - 2 for a closed orientable base of genus g."""
-    if base_genus < 0:
-        raise InvalidClassError("base_genus must be nonnegative")
-    return 2 * base_genus - 2
-
-
-def index_set_c2_unorientable(top: SurfaceTopology) -> set[int]:
-    """Realizable total indices for unorientable surfaces in the affine plane.
-
-    With chi the Euler characteristic, the set is {3*chi - 4} together
-    with the arithmetic progression 3*chi, 3*chi + 4, ... capped at
-    4 - chi.  It always contains both a negative and a positive value.
-    """
-    if top.orientable:
-        raise InvalidClassError("this index set is defined for unorientable surfaces")
-    chi = euler_char(top)
-    values = {3 * chi - 4}
-    v = 3 * chi
-    while v <= 4 - chi:
-        values.add(v)
-        v += 4
-    return values
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,15 @@ from .geometry import (
     intersection_sign,
 )
 from .patches import (
-    MODEL_FLAT_DOUBLE_POINT,
     MODEL_GRAPH_ELLIPTIC,
     MODEL_GRAPH_HYPERBOLIC,
     MODEL_SIGMA_MINUS,
     MODEL_SIGMA_PLUS,
     MODEL_WEINSTEIN,
-    PATCH_KINDS,
     LocatedComplexPoint,
     Rect,
     SurfacePatch,
-    complex_det,
     conjugate_graph,
-    custom_graph,
     det_arrays,
     locate_complex_points,
     min_abs_complex_det,
@@ -47,13 +43,11 @@ from .patches import (
 )
 from .scenes import (
     ModelChart,
-    Scene,
     bump_jets,
     cutoff_jets,
     double_point_scene,
     exhaustion_certificate,
     special_hyperbolic_scene,
-    tau_field,
     tau_jets,
 )
 from .sweeps import VALUE_FLOOR, grid_chunks, psh_certificate

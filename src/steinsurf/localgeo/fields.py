@@ -71,12 +71,6 @@ class ScalarField:
             return self.gradient
         return functools.partial(fd_gradient_arrays, self.value, h=self.fd_step)
 
-    def gradient_at(self, p: PointC2) -> np.ndarray:
-        g = np.array(self.gradient_fn()(*p.reals), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise GeometryError(f"gradient of {self.name} non-finite at {p.reals}")
-        return g.reshape(4)
-
     def levi_at(self, p: PointC2) -> HermitianForm2:
         if self.levi is not None:
             x, y, u, v = p.reals

@@ -27,8 +27,6 @@ Model patches:
   marks.
 * ``GraphSpecialElliptic`` / ``GraphSpecialHyperbolic``: the graphs
   w = z zbar and w = zbar^2.
-* ``FlatDoublePoint``: the two totally real planes {y = v = 0} and
-  {x = u = 0}, parametrized on two disjoint rectangles.
 
 Chunk layout.  A sweep walks each domain rectangle's node grid in blocks
 of whole rows (s fixed), at most ``sweeps.DEFAULT_CHUNK`` nodes and at
@@ -70,15 +68,6 @@ MODEL_SIGMA_PLUS = "SigmaPlus"
 MODEL_SIGMA_MINUS = "SigmaMinus"
 MODEL_GRAPH_ELLIPTIC = "GraphSpecialElliptic"
 MODEL_GRAPH_HYPERBOLIC = "GraphSpecialHyperbolic"
-MODEL_FLAT_DOUBLE_POINT = "FlatDoublePoint"
-PATCH_KINDS = (
-    MODEL_WEINSTEIN,
-    MODEL_SIGMA_PLUS,
-    MODEL_SIGMA_MINUS,
-    MODEL_GRAPH_ELLIPTIC,
-    MODEL_GRAPH_HYPERBOLIC,
-    MODEL_FLAT_DOUBLE_POINT,
-)
 
 
 @dataclass(frozen=True)
@@ -93,9 +82,6 @@ class Rect:
     def __post_init__(self):
         if not (self.s0 < self.s1 and self.t0 < self.t1):
             raise GeometryError(f"degenerate parameter rectangle {self}")
-
-    def contains(self, s: float, t: float) -> bool:
-        return self.s0 <= s <= self.s1 and self.t0 <= t <= self.t1
 
 
 @dataclass(frozen=True)
@@ -115,9 +101,6 @@ class SurfacePatch:
     tangents: Callable | None = None
     fd_step: float = 1e-6
     marks: tuple[tuple[float, float], ...] = ()
-
-    def in_domain(self, s: float, t: float) -> bool:
-        return any(r.contains(s, t) for r in self.domain)
 
     def point(self, s: float, t: float) -> PointC2:
         z, w = self.chart(s, t)
@@ -178,13 +161,6 @@ def det_arrays(patch: SurfacePatch, s, t, check_immersion: bool = True) -> np.nd
             sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
             raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
     return np.broadcast_to(np.asarray(z_s * w_t - z_t * w_s, dtype=complex), shape)
-
-
-def complex_det(patch: SurfacePatch, s: float, t: float) -> complex:
-    """Tangent determinant at one parameter; zero iff the point is complex."""
-    if not patch.in_domain(s, t):
-        raise GeometryError(f"({s}, {t}) outside the domain of patch {patch.name}")
-    return complex(det_arrays(patch, s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -571,33 +547,6 @@ def conjugate_graph(power: int, half_width: float = 1.0) -> SurfacePatch:
     return _graph_patch(f"ConjugatePowerGraph{p}", f, f_s, f_t, rect)
 
 
-def custom_graph(name: str, f, f_s, f_t, rect: Rect) -> SurfacePatch:
-    """Graph patch w = f(z) from vectorized f and its parameter partials."""
-    return _graph_patch(name, f, f_s, f_t, rect)
-
-
-_FLAT_SHEET_GAP = 4.0
-
-
-def _flat_chart(s, t):
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    first = s < 0.5 * _FLAT_SHEET_GAP
-    z = np.where(first, s + 0j, 1j * (s - _FLAT_SHEET_GAP))
-    w = np.where(first, t + 0j, 1j * t)
-    return z, w
-
-
-def _flat_tangents(s, t):
-    s = np.asarray(s, dtype=float)
-    shape = np.broadcast(s, t).shape
-    first = np.broadcast_to(s < 0.5 * _FLAT_SHEET_GAP, shape)
-    one = np.ones(shape, dtype=complex)
-    zero = np.zeros(shape, dtype=complex)
-    unit = np.where(first, one, 1j * one)
-    return unit, zero, zero, unit
-
-
 def model_patch(kind: str, epsilon: float | None = None) -> SurfacePatch:
     """Build one of the named model patches; Sigma kinds need epsilon != 0."""
     if kind in (MODEL_SIGMA_PLUS, MODEL_SIGMA_MINUS):
@@ -638,16 +587,6 @@ def model_patch(kind: str, epsilon: float | None = None) -> SurfacePatch:
             lambda s, t: 2 * (np.asarray(s) - 1j * np.asarray(t)),
             lambda s, t: -2j * (np.asarray(s) - 1j * np.asarray(t)),
             Rect(-1.0, 1.0, -1.0, 1.0),
-        )
-    if kind == MODEL_FLAT_DOUBLE_POINT:
-        return SurfacePatch(
-            name=kind,
-            chart=_flat_chart,
-            tangents=_flat_tangents,
-            domain=(
-                Rect(-1.0, 1.0, -1.0, 1.0),
-                Rect(_FLAT_SHEET_GAP - 1.0, _FLAT_SHEET_GAP + 1.0, -1.0, 1.0),
-            ),
         )
     raise GeometryError(f"unknown model patch kind {kind!r}")
 

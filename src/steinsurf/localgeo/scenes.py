@@ -1,8 +1,8 @@
 """Model scenes: the two model charts and their exhaustion certificates.
 
-A scene is one model chart (special hyperbolic or double point) at the
-origin of C^2, with a radius and a smooth cutoff.  Two scalar fields
-matter:
+A scene is the ``ModelChart``: one model (special hyperbolic or double
+point) at the origin of C^2, with a radius and a smooth cutoff.  Two
+scalar fields matter:
 
 * the neighborhood function rho, the chart's model function, vanishing
   exactly on the model surface and carrying closed-form jets;
@@ -33,7 +33,6 @@ from .fields import (
     MODEL_DOUBLE_POINT,
     MODEL_KINDS,
     MODEL_SPECIAL_HYPERBOLIC,
-    ScalarField,
     model_field,
 )
 from .geometry import Box4, eigmin_arrays
@@ -101,7 +100,7 @@ def cutoff_jets(c, lo: float, hi: float):
 
 
 # ---------------------------------------------------------------------------
-# Charts and scenes
+# Model charts
 # ---------------------------------------------------------------------------
 
 
@@ -130,24 +129,12 @@ class ModelChart:
         return x * x + y * y + u * u + v * v
 
 
-@dataclass(frozen=True)
-class Scene:
-    """One model chart; ``charts`` is a one-chart tuple."""
-
-    charts: tuple[ModelChart, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "charts", tuple(self.charts))
-        if len(self.charts) != 1:
-            raise GeometryError(f"a scene holds exactly one chart, got {len(self.charts)}")
+def special_hyperbolic_scene(radius: float = 0.5) -> ModelChart:
+    return ModelChart(MODEL_SPECIAL_HYPERBOLIC, radius)
 
 
-def special_hyperbolic_scene(radius: float = 0.5) -> Scene:
-    return Scene((ModelChart(MODEL_SPECIAL_HYPERBOLIC, radius),))
-
-
-def double_point_scene(radius: float = 1.0) -> Scene:
-    return Scene((ModelChart(MODEL_DOUBLE_POINT, radius),))
+def double_point_scene(radius: float = 1.0) -> ModelChart:
+    return ModelChart(MODEL_DOUBLE_POINT, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +142,9 @@ def double_point_scene(radius: float = 1.0) -> Scene:
 # ---------------------------------------------------------------------------
 
 
-def tau_jets(scene: Scene, x, y, u, v):
+def tau_jets(chart: ModelChart, x, y, u, v):
     """Value, complex gradient (tau_z, tau_w), and Levi entries of the
-    scene chart's term chi(c) * (|z|^2 + |w|^2)."""
-    chart = scene.charts[0]
+    chart's term chi(c) * (|z|^2 + |w|^2)."""
     z = x + 1j * y
     w = u + 1j * v
     zbar = np.conj(z)
@@ -189,30 +175,13 @@ def tau_jets(scene: Scene, x, y, u, v):
     return chi * q, tau_z, tau_w, t11, t22, t12
 
 
-def tau_field(scene: Scene) -> ScalarField:
-    """tau as a ScalarField with closed-form jets (for cross-checking)."""
-
-    def value(x, y, u, v):
-        return tau_jets(scene, x, y, u, v)[0]
-
-    def gradient(x, y, u, v):
-        _, tz, tw, _, _, _ = tau_jets(scene, x, y, u, v)
-        return (2 * np.real(tz), -2 * np.imag(tz), 2 * np.real(tw), -2 * np.imag(tw))
-
-    def levi(x, y, u, v):
-        _, _, _, a11, a22, a12 = tau_jets(scene, x, y, u, v)
-        return a11, a22, a12
-
-    return ScalarField(name="SceneTau", value=value, gradient=gradient, levi=levi)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustion certificate
 # ---------------------------------------------------------------------------
 
 
 def exhaustion_certificate(
-    scene: Scene,
+    chart: ModelChart,
     epsilon: float,
     delta: float,
     grid_step: float,
@@ -236,7 +205,6 @@ def exhaustion_certificate(
     if not 0 < collar < epsilon:
         raise GeometryError(f"collar must lie in (0, epsilon), got {collar}")
     box = Box4.symmetric(1.0) if box is None else box
-    chart = scene.charts[0]
     rho = model_field(chart.kind)
 
     best = math.inf
@@ -254,7 +222,7 @@ def exhaustion_certificate(
         rho_z = 0.5 * (gx - 1j * gy)
         rho_w = 0.5 * (gu - 1j * gv)
         r11, r22, r12 = rho.levi(xs, ys, us, vs)
-        _, _, _, t11, t22, t12 = tau_jets(scene, xs, ys, us, vs)
+        _, _, _, t11, t22, t12 = tau_jets(chart, xs, ys, us, vs)
         h1 = 1.0 / (epsilon - t)
         h2 = h1 * h1
         a11 = h1 * r11 + h2 * np.abs(rho_z) ** 2 + delta * t11

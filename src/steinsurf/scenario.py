@@ -42,6 +42,7 @@ import numpy as np
 from .certificates import (
     Certificate,
     RULE_FLOW,
+    RULE_INTERSECTION_SIGN,
     RULE_WINDING,
     Witness,
 )
@@ -492,7 +493,8 @@ def _suite_weinstein(grid_step: float = 0.1) -> list[dict]:
 
     north, south = weinstein_double_point_planes()
     sign = intersection_sign(north, south)
-    cert = Certificate(sign == 1, RULE_FLOW, (Witness("intersection_sign", sign),))
+    witness = Witness("intersection_sign", sign)
+    cert = Certificate(sign == 1, RULE_INTERSECTION_SIGN, (witness,))
     checks.append(_check_entry("weinstein-positive-double-point", cert))
     return checks
 

@@ -352,7 +352,7 @@ def test_criterion_10_exhaustion_certificates():
         if bad.passed:
             problems.append(f"{name}: passed at delta=10")
         else:
-            chart = scene.charts[0]
+            chart = scene
             c = chart.cutoff_argument(*bad.witnesses[0].point[1:])
             lo, hi = chart.cutoff_interval()
             if not lo < c < hi:

@@ -13,6 +13,7 @@ from steinsurf.localgeo import (
     det_identity_check,
     eigmin_arrays,
     fd_gradient_arrays,
+    flow_to_surface,
     grid_chunks,
     levi_closed,
     levi_fd,
@@ -90,7 +91,7 @@ def test_hyperbolic_gradient_norm_identity():
     fld = model_field(MODEL_SPECIAL_HYPERBOLIC)
     for p in random_points(40):
         x, y, _, _ = p.reals
-        gx, gy, _, _ = fld.gradient_at(p)
+        gx, gy, _, _ = fld.gradient(*p.reals)
         rho_z = 0.5 * (gx - 1j * gy)
         assert abs(rho_z) ** 2 == pytest.approx(
             4 * (x * x + y * y) * fld.value_at(p), rel=1e-11, abs=1e-13
@@ -108,7 +109,7 @@ def test_fd_gradient_matches_closed(kind):
     for p in random_points(30):
         x, y, u, v = p.reals
         fd = np.array(fd_gradient_arrays(fld.value, x, y, u, v, 1e-4))
-        assert np.allclose(fd, fld.gradient_at(p), atol=1e-6)
+        assert np.allclose(fd, fld.gradient(x, y, u, v), atol=1e-6)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -127,7 +128,7 @@ def test_value_only_field_falls_back_to_fd(kind):
     full = model_field(kind)
     assert not bare.has_jets and full.has_jets
     for p in random_points(10):
-        assert np.allclose(bare.gradient_at(p), full.gradient_at(p), atol=1e-5)
+        assert np.allclose(bare.gradient_fn()(*p.reals), full.gradient(*p.reals), atol=1e-5)
         lazy, closed = bare.levi_at(p), full.levi_at(p)
         assert lazy.a11 == pytest.approx(closed.a11, abs=1e-5)
         assert lazy.a22 == pytest.approx(closed.a22, abs=1e-5)
@@ -148,11 +149,11 @@ def test_nonfinite_field_data_raises():
         blowup.value_at(PointC2.from_reals(0, 0, 0, 0))
     bad_grad = ScalarField(
         "nan-grad",
-        lambda x, y, u, v: x * 0.0,
+        lambda x, y, u, v: x * x,
         gradient=lambda x, y, u, v: (np.nan, 0.0, 0.0, 0.0),
     )
-    with pytest.raises(GeometryError):
-        bad_grad.gradient_at(PointC2.from_reals(1, 0, 0, 0))
+    with pytest.raises(GeometryError, match="gradient of nan-grad non-finite"):
+        flow_to_surface(bad_grad, PointC2.from_reals(1, 0, 0, 0))
 
 
 def test_model_field_unknown_kind():

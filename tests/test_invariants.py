@@ -10,13 +10,9 @@ from steinsurf.invariants import (
     ImmersionClass,
     SurfaceTopology,
     adjunction_rhs,
-    ambient_pairings,
     check_adjunction,
     euler_char,
-    genus_formula,
-    index_set_c2_unorientable,
     lai,
-    line_bundle_threshold,
     oriented_class,
     stein_condition,
     unoriented_class,
@@ -235,25 +231,22 @@ def test_stein_condition_examples():
     assert not stein_condition(unoriented_class(1, normal_euler=3)).passed
 
 
+def _genus_formula_holds(imm):
+    """Reference: the genus identity 2g = 2 - 2 delta + S.S - c1.S of
+    classes without negative complex points (complex curves among them)."""
+    return 2 * imm.genus == 2 - 2 * imm.delta + imm.self_intersection - imm.c1_pairing
+
+
 def test_genus_formula_on_curves():
     for d in range(1, 6):
         imm = oriented_class((d - 1) * (d - 2) // 2, normal_euler=d * d, c1_pairing=3 * d)
-        assert genus_formula(imm).passed
-
-
-def test_genus_formula_precondition():
-    # Negative part 1, so the formula does not apply.
-    imm = oriented_class(1, c1_pairing=-2)
-    cert = genus_formula(imm)
-    assert not cert.passed
-    assert cert.witnesses[0].value == 1
-    with pytest.raises(InvalidClassError):
-        genus_formula(unoriented_class(1))
+        assert _genus_formula_holds(imm)
+        assert lai(imm).negative == 0
 
 
 @given(oriented_classes())
 def test_genus_formula_iff_no_negative_points(imm):
-    assert genus_formula(imm).passed == (lai(imm).negative == 0)
+    assert _genus_formula_holds(imm) == (lai(imm).negative == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,25 +267,6 @@ def test_ambient_validation():
         AmbientDescriptor("Oddball", stein=False)
 
 
-def test_ambient_pairings():
-    assert ambient_pairings(AmbientDescriptor.affine_plane(), None) == (0, 0)
-    assert ambient_pairings(AmbientDescriptor.projective_plane(), 2) == (4, 6)
-    assert ambient_pairings(AmbientDescriptor.quadric(), (1, 2)) == (4, 6)
-    lb = AmbientDescriptor.line_bundle(base_genus=2, degree=3)
-    assert ambient_pairings(lb, True) == (3, 1)
-    ab = AmbientDescriptor.abstract(normal_euler=5, c1_pairing=-1, stein=True)
-    assert ambient_pairings(ab, None) == (5, -1)
-
-
-def test_ambient_pairings_class_data_errors():
-    with pytest.raises(InvalidClassError):
-        ambient_pairings(AmbientDescriptor.affine_plane(), 1)
-    with pytest.raises(InvalidClassError):
-        ambient_pairings(AmbientDescriptor.quadric(), 3)
-    with pytest.raises(InvalidClassError):
-        ambient_pairings(AmbientDescriptor.line_bundle(0, 1), None)
-
-
 def test_ambient_json_round_trip():
     for amb in (
         AmbientDescriptor.affine_plane(),
@@ -306,43 +280,15 @@ def test_ambient_json_round_trip():
         AmbientDescriptor.from_json({"kind": "AffinePlane"})
 
 
-def test_line_bundle_threshold():
-    assert line_bundle_threshold(0) == -2
-    assert line_bundle_threshold(1) == 0
-    assert line_bundle_threshold(2) == 2
-    with pytest.raises(InvalidClassError):
-        line_bundle_threshold(-1)
-
-
 @pytest.mark.parametrize("base_genus", range(4))
 def test_zero_section_index_threshold(base_genus):
     """The zero section has nonpositive indices exactly up to degree 2g-2."""
-    threshold = line_bundle_threshold(base_genus)
-    for degree in (threshold - 1, threshold):
-        amb = AmbientDescriptor.line_bundle(base_genus, degree)
-        ne, c1 = ambient_pairings(amb, True)
-        section = oriented_class(base_genus, normal_euler=ne, c1_pairing=c1)
-        assert stein_condition(section).passed
-    ne, c1 = ambient_pairings(AmbientDescriptor.line_bundle(base_genus, threshold + 1), True)
-    section = oriented_class(base_genus, normal_euler=ne, c1_pairing=c1)
-    assert not stein_condition(section).passed
-
-
-def test_index_set_unorientable():
-    assert index_set_c2_unorientable(SurfaceTopology(1, False)) == {-1, 3}
-    assert index_set_c2_unorientable(SurfaceTopology(2, False)) == {-4, 0, 4}
-    assert index_set_c2_unorientable(SurfaceTopology(6, False)) == {
-        -16, -12, -8, -4, 0, 4, 8,
-    }
-    with pytest.raises(InvalidClassError):
-        index_set_c2_unorientable(SurfaceTopology(1, True))
-
-
-@given(st.integers(1, 40))
-def test_index_set_contains_both_signs(genus):
-    values = index_set_c2_unorientable(SurfaceTopology(genus, False))
-    assert any(v < 0 for v in values)
-    assert any(v > 0 for v in values)
+    # The zero section of a degree-e bundle has S.S = e and c1.S = chi + e.
+    threshold = 2 * base_genus - 2
+    for degree in (threshold - 1, threshold, threshold + 1):
+        e, c1 = degree, 2 - 2 * base_genus + degree
+        section = oriented_class(base_genus, normal_euler=e, c1_pairing=c1)
+        assert stein_condition(section).passed == (degree <= threshold)
 
 
 # ---------------------------------------------------------------------------

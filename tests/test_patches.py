@@ -1,6 +1,7 @@
 """Tests for surface patches: tangent determinants, windings, located
 complex points, and the model charts."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -14,9 +15,8 @@ from steinsurf.localgeo import (
     OrientedPlane,
     Rect,
     SurfacePatch,
-    complex_det,
     conjugate_graph,
-    custom_graph,
+    det_arrays,
     intersection_sign,
     locate_complex_points,
     min_abs_complex_det,
@@ -26,7 +26,6 @@ from steinsurf.localgeo import (
 )
 from steinsurf.localgeo import patches
 from steinsurf.localgeo.patches import (
-    MODEL_FLAT_DOUBLE_POINT,
     MODEL_GRAPH_ELLIPTIC,
     MODEL_GRAPH_HYPERBOLIC,
     MODEL_SIGMA_MINUS,
@@ -91,7 +90,17 @@ def _antiholomorphic_cubic():
     def f_t(s, t):
         return -1j * (3 * zeta(s, t) ** 2 - 0.25)
 
-    return custom_graph("CubicMinusQuarter", f, f_s, f_t, Rect(-1, 1, -1, 1))
+    def chart(s, t):
+        return np.asarray(s) + 1j * np.asarray(t), f(s, t)
+
+    def tangents(s, t):
+        one = np.ones(np.broadcast(s, t).shape, dtype=complex)
+        return one, f_s(s, t), 1j * one, f_t(s, t)
+
+    return SurfacePatch(
+        name="CubicMinusQuarter", chart=chart, tangents=tangents,
+        domain=(Rect(-1, 1, -1, 1),),
+    )
 
 
 def test_argument_principle_additivity():
@@ -130,9 +139,9 @@ def test_non_immersed_chart_is_rejected():
         chart=lambda s, t: (np.asarray(s) ** 2 + 0j, np.asarray(t) + 0j),
         domain=(Rect(-1, 1, -1, 1),),
     )
-    assert complex_det(fold, 0.5, 0.0) == pytest.approx(1.0)
+    assert complex(det_arrays(fold, 0.5, 0.0)) == pytest.approx(1.0)
     with pytest.raises(GeometryError):
-        complex_det(fold, 0.0, 0.0)
+        det_arrays(fold, 0.0, 0.0)
 
 
 def test_complex_curve_has_no_isolated_points():
@@ -144,12 +153,6 @@ def test_complex_curve_has_no_isolated_points():
     # immersed, but complex everywhere: the sweep must refuse to answer
     with pytest.raises(GeometryError):
         locate_complex_points(line)
-
-
-def test_complex_det_checks_domain():
-    patch = model_patch(MODEL_GRAPH_ELLIPTIC)
-    with pytest.raises(GeometryError):
-        complex_det(patch, 2.0, 0.0)
 
 
 def test_locate_grid_step_validation():
@@ -164,8 +167,8 @@ def test_fd_tangents_agree_with_closed_tangents():
     closed = model_patch(MODEL_GRAPH_HYPERBOLIC)
     fd = SurfacePatch(name="fd-twin", chart=closed.chart, domain=closed.domain)
     for s, t in ((0.4, 0.1), (-0.3, 0.7), (0.25, -0.6)):
-        assert complex_det(fd, s, t) == pytest.approx(
-            complex_det(closed, s, t), abs=1e-8
+        assert complex(det_arrays(fd, s, t)) == pytest.approx(
+            complex(det_arrays(closed, s, t)), abs=1e-8
         )
 
 
@@ -203,7 +206,7 @@ def test_sigma_minus_det_formula():
     patch = model_patch(MODEL_SIGMA_MINUS, epsilon=eps)
     for s, t in ((0.3, 1.0), (-0.5, 2.2), (0.0, 0.1)):
         expected = 2 * abs(eps) * math.sinh(2 * s) - 2j * eps * math.cos(2 * t)
-        assert complex_det(patch, s, t) == pytest.approx(expected, abs=1e-12)
+        assert complex(det_arrays(patch, s, t)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_sigma_plus_is_totally_real():
@@ -233,7 +236,7 @@ def test_sigma_minus_negative_epsilon_still_has_four_points():
 
 
 # ---------------------------------------------------------------------------
-# Weinstein sphere and flat double point
+# Weinstein sphere
 # ---------------------------------------------------------------------------
 
 
@@ -257,16 +260,6 @@ def test_intersection_sign_orientation_dependence():
     assert intersection_sign(z_line, flipped) == -1
     with pytest.raises(GeometryError):
         intersection_sign(z_line, z_line)
-
-
-def test_flat_double_point_sheets():
-    patch = model_patch(MODEL_FLAT_DOUBLE_POINT)
-    assert len(patch.domain) == 2
-    # both sheets pass through the origin of C^2
-    origins = [patch.point(0.0, 0.0), patch.point(4.0, 0.0)]
-    assert all(p.reals == (0, 0, 0, 0) for p in origins)
-    assert locate_complex_points(patch, grid_step=0.25) == []
-    assert min_abs_complex_det(patch, grid_step=0.25) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,26 +354,40 @@ def _outcome(sweep, *args):
 
 
 _SIGMA_KINDS = (MODEL_SIGMA_MINUS, MODEL_SIGMA_PLUS)
+_TWO_RECTS = "TwoRectElliptic"
+
+
+def _sweep_patch(kind, epsilon):
+    """A model patch, or for ``_TWO_RECTS`` the elliptic graph on two
+    rectangles, the second holding its complex point, so the sweeps'
+    per-rectangle loops run more than once."""
+    if kind == _TWO_RECTS:
+        return dataclasses.replace(
+            model_patch(MODEL_GRAPH_ELLIPTIC),
+            name=kind,
+            domain=(Rect(-1, -0.3, -1, 1), Rect(-0.3, 1, -1, 1)),
+        )
+    return model_patch(kind, epsilon if kind in _SIGMA_KINDS else None)
 
 
 # Chunks of 2^6 to 2^12 nodes give blocks of 2 to about 100 rows, so
-# candidate cells straddle block edges.  The example puts SigmaMinus's
-# zeros in cell row 13, between two-row blocks [12, 14) and [14, 16):
-# without the one-row overlap no block holds that cell.
+# candidate cells straddle block edges.  The first example puts
+# SigmaMinus's zeros in cell row 13, between two-row blocks [12, 14) and
+# [14, 16): without the one-row overlap no block holds that cell.
 @settings(max_examples=60, deadline=None)
 @example(kind=MODEL_SIGMA_MINUS, epsilon=0.1, step=0.055, chunk=64)
+@example(kind=_TWO_RECTS, epsilon=0.1, step=0.1, chunk=64)
 @given(
     kind=st.sampled_from(
         _SIGMA_KINDS
-        + (MODEL_WEINSTEIN, MODEL_GRAPH_ELLIPTIC, MODEL_GRAPH_HYPERBOLIC,
-           MODEL_FLAT_DOUBLE_POINT)
+        + (MODEL_WEINSTEIN, MODEL_GRAPH_ELLIPTIC, MODEL_GRAPH_HYPERBOLIC, _TWO_RECTS)
     ),
     epsilon=st.floats(0.05, 0.25) | st.floats(-0.25, -0.05),
     step=st.floats(0.03, 0.2),
     chunk=st.integers(6, 12).map(lambda k: 1 << k),
 )
 def test_row_block_sweeps_match_the_meshgrid_sweeps(kind, epsilon, step, chunk):
-    patch = model_patch(kind, epsilon if kind in _SIGMA_KINDS else None)
+    patch = _sweep_patch(kind, epsilon)
     with mock.patch.object(patches, "DEFAULT_CHUNK", chunk):
         assert _outcome(locate_complex_points, patch, step) == _outcome(
             _meshgrid_locate, patch, step

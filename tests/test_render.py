@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinsurf import cli
+from steinsurf.certificates import Witness
 from steinsurf.invariants import oriented_class
 
 
@@ -69,6 +70,21 @@ def test_emitter_refuses_what_a_report_cannot_hold(value):
         cli.dumps(value)
     with pytest.raises(TypeError):
         cli.dumps({"report": [value]})
+
+
+def test_witness_passes_plain_json_data_through():
+    value = {"4detH": 1.5, "ok": True, "none": None, "pair": (1, "a")}
+    assert Witness(("label", 2.5, -3), value).to_json() == {
+        "point": ["label", 2.5, -3],
+        "value": {"4detH": 1.5, "ok": True, "none": None, "pair": [1, "a"]},
+    }
+
+
+@pytest.mark.parametrize("value", [np.int64(1), 1j, object()], ids=["np.int64", "complex", "object"])
+def test_witness_refuses_data_that_is_not_json(value):
+    for witness in (Witness("label", value), Witness(["label", value], 0)):
+        with pytest.raises(TypeError):
+            witness.to_json()
 
 
 def _drop_timing(report):

@@ -5,6 +5,13 @@ import json
 import pytest
 
 from steinsurf import cli
+from steinsurf.certificates import (
+    RULE_EXHAUSTION,
+    RULE_FLOW,
+    RULE_INTERSECTION_SIGN,
+    RULE_LEVI_PSH,
+    RULE_WINDING,
+)
 from steinsurf.errors import ScenarioError
 from steinsurf.invariants import (
     OUTCOME_NO_STEIN,
@@ -263,6 +270,24 @@ def test_verify_local_runs_a_suite():
     assert len(names) == 3
     with pytest.raises(ScenarioError):
         verify_local("psychic")
+
+
+_SUITE_RULES = {
+    "psh_models": {RULE_LEVI_PSH},
+    "windings": {RULE_WINDING},
+    "sigma_handles": {RULE_WINDING},
+    "weinstein": {RULE_WINDING, RULE_INTERSECTION_SIGN},
+    "flow": {RULE_FLOW},
+    "exhaustion": {RULE_EXHAUSTION},
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_cites_its_named_rules(suite):
+    params = {"grid_step": 0.25} if suite == "psh_models" else None
+    (result,) = verify_local(suite, params).results
+    rules = {c["certificate"]["rule"] for c in result.details["checks"]}
+    assert rules == _SUITE_RULES[suite]
 
 
 def test_verify_local_captures_runtime_errors():

@@ -18,7 +18,6 @@ from steinsurf.localgeo import (
     ModelChart,
     PointC2,
     ScalarField,
-    Scene,
     bump_jets,
     cutoff_jets,
     double_point_scene,
@@ -28,7 +27,7 @@ from steinsurf.localgeo import (
     levi_fd,
     model_field,
     special_hyperbolic_scene,
-    tau_field,
+    tau_jets,
 )
 from steinsurf.localgeo import flow
 from steinsurf.localgeo.fields import MODEL_DOUBLE_POINT, MODEL_KINDS, MODEL_SPECIAL_HYPERBOLIC
@@ -94,21 +93,13 @@ def test_chart_validation_and_cutoff_intervals():
     assert dbl.cutoff_interval() == DOUBLE_CUTOFF
 
 
-def test_scene_holds_exactly_one_chart():
-    chart = ModelChart(MODEL_DOUBLE_POINT, 1.0)
-    assert Scene([chart]).charts == (chart,)
-    for charts in ((), (chart, chart)):
-        with pytest.raises(GeometryError):
-            Scene(charts)
-
-
 def test_single_chart_scene_is_the_model_field():
     """The exhaustion's rho is the chart's model field: it masks exactly
     the grid nodes where the model lies below eps - collar."""
     box = Box4.symmetric(0.5)
     x, y, u, v = np.meshgrid(*box.axes(0.1), indexing="ij")
     for scene in (special_hyperbolic_scene(), double_point_scene()):
-        model = model_field(scene.charts[0].kind)
+        model = model_field(scene.kind)
         below = np.count_nonzero(model.value(x, y, u, v) < 0.01 - 0.1 * 0.01)
         cert = exhaustion_certificate(scene, 0.01, 1e-3, 0.1, box=box)
         assert 0 < cert.witnesses[1].value == below < x.size
@@ -119,9 +110,27 @@ def test_single_chart_scene_is_the_model_field():
 # ---------------------------------------------------------------------------
 
 
+def _tau_field(chart):
+    """tau_jets as a ScalarField, so the field's finite differences can
+    cross-check its closed-form jets."""
+
+    def value(x, y, u, v):
+        return tau_jets(chart, x, y, u, v)[0]
+
+    def gradient(x, y, u, v):
+        _, tz, tw, _, _, _ = tau_jets(chart, x, y, u, v)
+        return (2 * np.real(tz), -2 * np.imag(tz), 2 * np.real(tw), -2 * np.imag(tw))
+
+    def levi(x, y, u, v):
+        _, _, _, a11, a22, a12 = tau_jets(chart, x, y, u, v)
+        return a11, a22, a12
+
+    return ScalarField(name="SceneTau", value=value, gradient=gradient, levi=levi)
+
+
 def test_tau_value_plateaus():
     scene = special_hyperbolic_scene(radius=0.5)
-    tau = tau_field(scene)
+    tau = _tau_field(scene)
     inner = PointC2.from_reals(0.1, 0.05, 0.3, 0.2)
     assert math.hypot(0.1, 0.05) < 0.25
     assert tau.value_at(inner) == pytest.approx(sum(c * c for c in inner.reals))
@@ -143,7 +152,7 @@ def test_tau_value_plateaus():
     ],
 )
 def test_tau_jets_match_finite_differences(scene, samples):
-    tau = tau_field(scene)
+    tau = _tau_field(scene)
     for coords in samples:
         p = PointC2.from_reals(*coords)
         x, y, u, v = coords
@@ -153,7 +162,7 @@ def test_tau_jets_match_finite_differences(scene, samples):
             / (2 * h)
             for dc in np.eye(4)
         ]
-        assert np.allclose(tau.gradient_at(p), fd_grad, atol=1e-5)
+        assert np.allclose(tau.gradient(x, y, u, v), fd_grad, atol=1e-5)
         closed = tau.levi_at(p)
         fd = levi_fd(tau, p, h=h)
         assert fd.a11 == pytest.approx(closed.a11, abs=1e-3)
@@ -204,9 +213,8 @@ def test_exhaustion_fails_with_large_weight_in_the_annulus(scene):
     assert not cert.passed
     eig = cert.witnesses[0]
     assert eig.value < 0
-    chart = scene.charts[0]
-    c = chart.cutoff_argument(*eig.point[1:])
-    lo, hi = chart.cutoff_interval()
+    c = scene.cutoff_argument(*eig.point[1:])
+    lo, hi = scene.cutoff_interval()
     assert lo < c < hi  # the negative curvature comes from the cutoff annulus
 
 
