@@ -48,13 +48,10 @@ from .surgery import (
     PlanTarget,
     SurgeryRecipe,
     SurgeryStep,
-    attach,
-    connected_sum,
     normalize_complex_points,
     plan_cp2,
     replay,
     replay_trace,
-    resolve_double_point,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ class InfeasibleTargetError(SteinsurfError, ValueError):
 class SurgeryError(SteinsurfError, ValueError):
     """A surgery step cannot be applied to the given class.
 
-    ``position`` is the zero-based index of the failing step when the
+    ``position`` is the 1-based position of the failing step when the
     error arises inside a recipe replay, else None.
     """
 

@@ -428,60 +428,6 @@ class AmbientDescriptor:
             if self.normal_euler is None or self.c1_pairing is None:
                 raise InvalidClassError("Abstract ambient needs normal_euler and c1_pairing")
 
-    # constructors for the common cases
-    @classmethod
-    def affine_plane(cls) -> "AmbientDescriptor":
-        return cls(KIND_AFFINE_PLANE, stein=True)
-
-    @classmethod
-    def projective_plane(cls) -> "AmbientDescriptor":
-        return cls(KIND_PROJECTIVE_PLANE, stein=False)
-
-    @classmethod
-    def quadric(cls) -> "AmbientDescriptor":
-        return cls(KIND_QUADRIC, stein=False)
-
-    @classmethod
-    def line_bundle(cls, base_genus: int, degree: int, stein: bool = False) -> "AmbientDescriptor":
-        return cls(KIND_LINE_BUNDLE, stein=stein, base_genus=base_genus, bundle_degree=degree)
-
-    @classmethod
-    def abstract(
-        cls,
-        normal_euler: int,
-        c1_pairing: int,
-        stein: bool,
-        kaehler_b2plus_gt1: bool = False,
-    ) -> "AmbientDescriptor":
-        return cls(
-            KIND_ABSTRACT,
-            stein=stein,
-            kaehler_b2plus_gt1=kaehler_b2plus_gt1,
-            normal_euler=normal_euler,
-            c1_pairing=c1_pairing,
-        )
-
-    def to_json(self) -> dict:
-        if self.kind == KIND_LINE_BUNDLE:
-            kind: object = {
-                "name": self.kind,
-                "base_genus": self.base_genus,
-                "degree": self.bundle_degree,
-            }
-        elif self.kind == KIND_ABSTRACT:
-            kind = {
-                "name": self.kind,
-                "normal_euler": self.normal_euler,
-                "c1_pairing": self.c1_pairing,
-            }
-        else:
-            kind = self.kind
-        return {
-            "kind": kind,
-            "stein": self.stein,
-            "kaehler_b2plus_gt1": self.kaehler_b2plus_gt1,
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "AmbientDescriptor":
         _check_record("ambient", data, {"kind", "stein", "kaehler_b2plus_gt1"})

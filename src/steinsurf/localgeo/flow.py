@@ -38,13 +38,6 @@ class FlowResult:
     final_value: float
     converged: bool
 
-    def to_json(self) -> dict:
-        return {
-            "steps": len(self.trajectory) - 1,
-            "final_value": self.final_value,
-            "converged": self.converged,
-        }
-
 
 def _check_point(x: float, y: float, u: float, v: float) -> None:
     """Raise the error PointC2 raises on a non-finite coordinate."""

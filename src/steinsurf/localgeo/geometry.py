@@ -88,16 +88,6 @@ class HermitianForm2:
     a22: float
     a12: complex
 
-    def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues (min, max); real because the form is Hermitian."""
-        mean = 0.5 * (self.a11 + self.a22)
-        disc = math.hypot(0.5 * (self.a11 - self.a22), abs(self.a12))
-        return (mean - disc, mean + disc)
-
-    @property
-    def eigmin(self) -> float:
-        return self.eigenvalues()[0]
-
     @property
     def det(self) -> float:
         return self.a11 * self.a22 - abs(self.a12) ** 2

@@ -23,8 +23,8 @@ Model patches:
   itself degenerates there.
 * ``SigmaPlus`` / ``SigmaMinus``: the annuli {(x+iu)(y-+iv) = eps} that
   replace a positive / negative double point.  SigmaPlus is totally real;
-  SigmaMinus has exactly four hyperbolic complex points, stored as chart
-  marks.
+  SigmaMinus has exactly four hyperbolic complex points, at s = 0 and
+  t = pi/4 + k pi/2.
 * ``GraphSpecialElliptic`` / ``GraphSpecialHyperbolic``: the graphs
   w = z zbar and w = zbar^2.
 
@@ -90,9 +90,7 @@ class SurfacePatch:
 
     ``chart`` maps parameter arrays (s, t) to complex arrays (z, w);
     ``tangents`` returns (z_s, w_s, z_t, w_t) and may be None, in which
-    case central differences with ``fd_step`` are used.  ``marks`` lists
-    parameters of known complex points (metadata only; the domain is not
-    punctured there).
+    case central differences with ``fd_step`` are used.
     """
 
     name: str
@@ -100,7 +98,6 @@ class SurfacePatch:
     domain: tuple[Rect, ...]
     tangents: Callable | None = None
     fd_step: float = 1e-6
-    marks: tuple[tuple[float, float], ...] = ()
 
     def point(self, s: float, t: float) -> PointC2:
         z, w = self.chart(s, t)
@@ -553,15 +550,11 @@ def model_patch(kind: str, epsilon: float | None = None) -> SurfacePatch:
         if epsilon is None or epsilon == 0:
             raise GeometryError(f"{kind} requires a nonzero epsilon")
         chart, tangents = _sigma_charts(float(epsilon), minus=(kind == MODEL_SIGMA_MINUS))
-        marks = ()
-        if kind == MODEL_SIGMA_MINUS:
-            marks = tuple((0.0, math.pi / 4 + k * math.pi / 2) for k in range(4))
         return SurfacePatch(
             name=kind,
             chart=chart,
             tangents=tangents,
             domain=(Rect(-0.75, 0.75, 0.0, 2 * math.pi),),
-            marks=marks,
         )
     if epsilon is not None:
         raise GeometryError(f"{kind} does not take an epsilon parameter")

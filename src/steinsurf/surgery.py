@@ -1,29 +1,42 @@
 """Surgery calculus on immersion classes.
 
-Connected sums, handle attachments, double point resolutions and blow-ups
-act on :class:`~steinsurf.invariants.ImmersionClass` purely at the level
-of invariants; no geometric realization is kept.  Recipes bundle a base
-class with an ordered step list and are validated by replay, so a stored
-recipe is guaranteed to reproduce its expected result.
+A class enters the calculus through five integers (chi, e, c1, delta_plus,
+delta_minus): Euler characteristic, normal Euler number, Chern pairing
+and the double point counts by sign, plus its orientability.  Every
+surgery step is a translation of those integers and a flag saying
+whether the result can stay orientable:
 
-Genus bookkeeping across orientability changes goes through the Euler
-characteristic.  Cross-cap counts then come out right in the mixed cases
-(an orientable genus-g surface summed with a projective plane has 2g+1
-cross-caps), while the familiar "genus adds" rule is recovered whenever
-both summands are orientable or both are unorientable.
+* a connected sum with a class b adds (chi_b - 2, e_b, c1_b, delta_plus_b,
+  delta_minus_b) and stays orientable only if b is; the four attachments
+  are connected sums with the standard summands below;
+* handle resolution replaces a double point by an annulus, one more
+  handle: a positive one adds (-2, +2, 0, -1, 0), through a totally real
+  annulus that leaves the indices untouched, a negative one adds
+  (-2, -2, 0, 0, -1); the blow-up resolution of a negative double point
+  adds (0, -2, 0, 0, -1), which keeps the genus, the self-intersection
+  and the adjunction right-hand side, and records the ambient change as
+  an annotation;
+* normalization leaves the class unchanged and records its normal form.
+
+A step fails when it would leave a double point count negative, or when
+a Weinstein sphere is attached to an unorientable base.  The genus comes
+back from chi (2 - 2g orientable, 2 - g unorientable), so cross-cap counts
+come out right in the mixed cases: an orientable genus-g surface summed
+with a projective plane has 2g+1 cross-caps.  Recipes bundle a base class
+with an ordered step list and are validated by replay, so a stored
+recipe is guaranteed to reproduce its expected result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleTargetError, SurgeryError
+from .errors import InfeasibleTargetError, InvalidClassError, SurgeryError
 from .certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
 from .invariants import (
     ImmersionClass,
     SurfaceTopology,
     _check_record,
-    euler_char,
     lai,
     oriented_class,
     unoriented_class,
@@ -50,16 +63,6 @@ STEP_KINDS = (
     STEP_RESOLVE_NEG_BLOWUP,
     STEP_NORMALIZE,
 )
-
-# Attachment kinds accepted by `attach`.
-ATTACH_TORUS = "Torus"
-ATTACH_RP2 = "RP2"
-ATTACH_KLEIN = "Klein"
-ATTACH_WEINSTEIN = "WeinsteinSphere"
-ATTACH_KINDS = (ATTACH_TORUS, ATTACH_RP2, ATTACH_KLEIN, ATTACH_WEINSTEIN)
-
-METHOD_HANDLE = "Handle"
-METHOD_BLOWUP = "Blowup"
 
 
 # ---------------------------------------------------------------------------
@@ -128,112 +131,6 @@ def real_projective_plane_cp2() -> ImmersionClass:
     normal Euler number -1, total index 0.  Its homology class is the
     2-torsion generator, so the Chern pairing is recorded as 0."""
     return unoriented_class(genus=1, normal_euler=-1)
-
-
-# ---------------------------------------------------------------------------
-# Elementary operations
-# ---------------------------------------------------------------------------
-
-
-def connected_sum(a: ImmersionClass, b: ImmersionClass) -> ImmersionClass:
-    """Connected sum of two immersion classes.
-
-    Euler characteristics combine as chi_a + chi_b - 2, normal Euler
-    numbers, Chern pairings and double point counts add.  The total index
-    therefore drops by 2 relative to the sum of the parts, and each signed
-    index drops by 1 when both parts are oriented.
-    """
-    chi = euler_char(a.topology) + euler_char(b.topology) - 2
-    orientable = a.orientable and b.orientable
-    if orientable:
-        genus = (2 - chi) // 2
-    else:
-        genus = 2 - chi
-    return ImmersionClass(
-        topology=SurfaceTopology(genus, orientable),
-        normal_euler=a.normal_euler + b.normal_euler,
-        c1_pairing=a.c1_pairing + b.c1_pairing,
-        delta_plus=a.delta_plus + b.delta_plus,
-        delta_minus=a.delta_minus + b.delta_minus,
-    )
-
-
-_ATTACH_SUMMANDS = {
-    ATTACH_TORUS: totally_real_torus,
-    ATTACH_RP2: rp2_summand,
-    ATTACH_KLEIN: klein_bottle_summand,
-    ATTACH_WEINSTEIN: weinstein_sphere_summand,
-}
-
-
-def attach(imm: ImmersionClass, kind: str) -> ImmersionClass:
-    """Connected sum with one of the standard summands.
-
-    Tori lower each signed index by 1 (orientable base) or the total by 2
-    (unorientable base); projective planes make the result unorientable
-    and lower the total index by 3; Klein bottles lower it by 2.  The
-    Weinstein sphere adds one positive double point and lowers each
-    signed index by 1 without changing genus or homology class; it
-    requires an orientable base.
-    """
-    if kind not in _ATTACH_SUMMANDS:
-        raise SurgeryError(f"unknown attachment kind {kind!r}")
-    if kind == ATTACH_WEINSTEIN and not imm.orientable:
-        raise SurgeryError("Weinstein sphere attachment needs an orientable base")
-    return connected_sum(imm, _ATTACH_SUMMANDS[kind]())
-
-
-def resolve_double_point(imm: ImmersionClass, sign: int, method: str = METHOD_HANDLE) -> ImmersionClass:
-    """Remove one double point of the given sign.
-
-    Handle resolution replaces the double point by an annulus, raising the
-    genus by one.  A positive double point resolves through a totally real
-    annulus, so the indices are untouched and the normal Euler number
-    gains 2; a negative one costs 2 on each signed index and the normal
-    Euler number loses 2.  Blow-up (negative sign only) removes the double
-    point without changing genus, image self-intersection, Chern pairing,
-    or the adjunction right-hand side; the ambient change is recorded as a
-    replay annotation, not here.
-    """
-    if sign not in (+1, -1):
-        raise SurgeryError(f"double point sign must be +1 or -1, got {sign!r}")
-    if method not in (METHOD_HANDLE, METHOD_BLOWUP):
-        raise SurgeryError(f"unknown resolution method {method!r}")
-    if method == METHOD_BLOWUP and sign != -1:
-        raise SurgeryError("blow-up resolution applies to negative double points only")
-    if sign == +1:
-        if imm.delta_plus == 0:
-            raise SurgeryError("no positive double point to resolve")
-    else:
-        if imm.delta_minus == 0:
-            raise SurgeryError("no negative double point to resolve")
-
-    if method == METHOD_BLOWUP:
-        return ImmersionClass(
-            topology=imm.topology,
-            normal_euler=imm.normal_euler - 2,
-            c1_pairing=imm.c1_pairing,
-            delta_plus=imm.delta_plus,
-            delta_minus=imm.delta_minus - 1,
-        )
-
-    chi = euler_char(imm.topology) - 2
-    genus = (2 - chi) // 2 if imm.orientable else 2 - chi
-    if sign == +1:
-        return ImmersionClass(
-            topology=SurfaceTopology(genus, imm.orientable),
-            normal_euler=imm.normal_euler + 2,
-            c1_pairing=imm.c1_pairing,
-            delta_plus=imm.delta_plus - 1,
-            delta_minus=imm.delta_minus,
-        )
-    return ImmersionClass(
-        topology=SurfaceTopology(genus, imm.orientable),
-        normal_euler=imm.normal_euler - 2,
-        c1_pairing=imm.c1_pairing,
-        delta_plus=imm.delta_plus,
-        delta_minus=imm.delta_minus - 1,
-    )
 
 
 @dataclass(frozen=True)
@@ -313,52 +210,79 @@ class SurgeryStep:
         )
 
 
-_STEP_TO_ATTACH = {
-    STEP_ATTACH_TORUS: ATTACH_TORUS,
-    STEP_ATTACH_RP2: ATTACH_RP2,
-    STEP_ATTACH_KLEIN: ATTACH_KLEIN,
-    STEP_ATTACH_WEINSTEIN: ATTACH_WEINSTEIN,
+def _sum_move(b: ImmersionClass) -> tuple[tuple[int, int, int, int, int], bool, None]:
+    """Connected sum with ``b``: Euler characteristics combine as
+    chi_a + chi_b - 2 and every other integer adds, so the total index
+    drops by 2 against the sum of the parts."""
+    return (b.euler_char - 2, b.normal_euler, b.c1_pairing, b.delta_plus, b.delta_minus), b.orientable, None
+
+
+# Each step kind but ConnectedSum and NormalizeComplexPoints: translation
+# of (chi, e, c1, delta_plus, delta_minus), whether the result can stay
+# orientable, and the trace annotation.
+_MOVES = {
+    STEP_ATTACH_TORUS: _sum_move(totally_real_torus()),
+    STEP_ATTACH_RP2: _sum_move(rp2_summand()),
+    STEP_ATTACH_KLEIN: _sum_move(klein_bottle_summand()),
+    STEP_ATTACH_WEINSTEIN: _sum_move(weinstein_sphere_summand()),
+    STEP_RESOLVE_POS_HANDLE: ((-2, +2, 0, -1, 0), True, None),
+    STEP_RESOLVE_NEG_HANDLE: ((-2, -2, 0, 0, -1), True, None),
+    STEP_RESOLVE_NEG_BLOWUP: ((0, -2, 0, 0, -1), True, "ambient blown up: one exceptional sphere added"),
 }
 
 
 def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass, str | None]:
     """Apply one step, returning the new class and an optional annotation."""
-    kind = step.kind
-    if kind == STEP_CONNECTED_SUM:
-        return connected_sum(imm, step.other), None
-    if kind in _STEP_TO_ATTACH:
-        return attach(imm, _STEP_TO_ATTACH[kind]), None
-    if kind == STEP_RESOLVE_POS_HANDLE:
-        return resolve_double_point(imm, +1, METHOD_HANDLE), None
-    if kind == STEP_RESOLVE_NEG_HANDLE:
-        return resolve_double_point(imm, -1, METHOD_HANDLE), None
-    if kind == STEP_RESOLVE_NEG_BLOWUP:
-        out = resolve_double_point(imm, -1, METHOD_BLOWUP)
-        return out, "ambient blown up: one exceptional sphere added"
-    # NormalizeComplexPoints: identity on the class, normal form recorded.
-    form = normalize_complex_points(imm)
-    return imm, (
-        "normal form: "
-        f"{form.special_elliptic} elliptic, "
-        f"{form.special_hyperbolic_pos}+{form.special_hyperbolic_neg} hyperbolic"
-    )
+    if step.kind == STEP_NORMALIZE:
+        form = normalize_complex_points(imm)
+        return imm, (
+            "normal form: "
+            f"{form.special_elliptic} elliptic, "
+            f"{form.special_hyperbolic_pos}+{form.special_hyperbolic_neg} hyperbolic"
+        )
+    if step.kind == STEP_ATTACH_WEINSTEIN and not imm.orientable:
+        raise SurgeryError("Weinstein sphere attachment needs an orientable base")
+    move = _sum_move(step.other) if step.kind == STEP_CONNECTED_SUM else _MOVES[step.kind]
+    (chi, e, c1, dp, dm), keeps_orientable, note = move
+    dp += imm.delta_plus
+    dm += imm.delta_minus
+    if dp < 0:
+        raise SurgeryError("no positive double point to resolve")
+    if dm < 0:
+        raise SurgeryError("no negative double point to resolve")
+    chi += imm.euler_char
+    orientable = imm.orientable and keeps_orientable
+    genus = (2 - chi) // 2 if orientable else 2 - chi
+    topology = SurfaceTopology(genus, orientable)
+    return ImmersionClass(topology, imm.normal_euler + e, imm.c1_pairing + c1, dp, dm), note
+
+
+def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | None) -> ImmersionClass:
+    """The one replay loop: :func:`replay` with one entry per step appended
+    to ``trace`` unless it is None."""
+    current = base
+    for position, step in enumerate(steps, start=1):
+        try:
+            current, note = _apply_step(current, step)
+        except (SurgeryError, InvalidClassError) as exc:
+            raise SurgeryError(
+                f"step {position} ({step.kind}) failed: {exc}", position=position
+            ) from exc
+        if trace is not None:
+            entry = {"position": position, "kind": step.kind, "result": current.to_json()}
+            if note is not None:
+                entry["annotation"] = note
+            trace.append(entry)
+    return current
 
 
 def replay(base: ImmersionClass, steps: list[SurgeryStep]) -> ImmersionClass:
     """Left-fold of the steps over the base class.
 
-    The first step whose precondition fails aborts the replay with its
-    1-based position attached to the error.
-    """
-    current = base
-    for position, step in enumerate(steps, start=1):
-        try:
-            current, _ = _apply_step(current, step)
-        except SurgeryError as exc:
-            raise SurgeryError(
-                f"step {position} ({step.kind}) failed: {exc}", position=position
-            ) from exc
-    return current
+    The first step that fails, on its precondition or on a value leaving
+    int64, aborts the replay with its 1-based position attached to the
+    error."""
+    return _fold(base, steps, None)
 
 
 def replay_trace(base: ImmersionClass, steps: list[SurgeryStep]) -> tuple[ImmersionClass, list[dict]]:
@@ -367,20 +291,8 @@ def replay_trace(base: ImmersionClass, steps: list[SurgeryStep]) -> tuple[Immers
     Each trace entry records the 1-based position, the step kind, the
     resulting class, and any annotation (blow-ups note the ambient
     change; normalization steps record the normal form)."""
-    current = base
     trace: list[dict] = []
-    for position, step in enumerate(steps, start=1):
-        try:
-            current, note = _apply_step(current, step)
-        except SurgeryError as exc:
-            raise SurgeryError(
-                f"step {position} ({step.kind}) failed: {exc}", position=position
-            ) from exc
-        entry = {"position": position, "kind": step.kind, "result": current.to_json()}
-        if note is not None:
-            entry["annotation"] = note
-        trace.append(entry)
-    return current, trace
+    return _fold(base, steps, trace), trace
 
 
 @dataclass(frozen=True)
@@ -410,13 +322,6 @@ class SurgeryRecipe:
             "steps": [s.to_json() for s in self.steps],
             "expected": self.expected.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SurgeryRecipe":
-        base, steps, expected = read_recipe(data)
-        if expected is None:
-            raise SurgeryError("a recipe needs its expected class")
-        return cls(base=base, steps=steps, expected=expected)
 
 
 def read_recipe(data: dict) -> tuple[ImmersionClass, tuple[SurgeryStep, ...], ImmersionClass | None]:

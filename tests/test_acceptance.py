@@ -55,12 +55,10 @@ from steinsurf import surgery as sg
 from steinsurf.surgery import (
     PlanTarget,
     SurgeryStep,
-    attach,
     cp2_curve_class,
     plan_cp2,
     real_projective_plane_cp2,
     replay,
-    resolve_double_point,
 )
 
 
@@ -135,7 +133,7 @@ def test_criterion_04_cross_cap_tower():
             problems.append(f"k={k}: index {report.total}")
         if not stein_condition(current).passed:
             problems.append(f"k={k}: index condition failed")
-        current = attach(current, sg.ATTACH_RP2)
+        current = replay(current, [SurgeryStep(sg.STEP_ATTACH_RP2)])
     _verdict(4, problems, started, budget=None)
 
 
@@ -192,7 +190,7 @@ def test_criterion_05_surgery_conservation():
                 if report.positive + report.negative != report.total:
                     problems.append(f"{step.kind}: index split broken")
         if imm.delta_plus > 0 and imm.orientable:
-            out = resolve_double_point(imm, +1)
+            out = replay(imm, [SurgeryStep(sg.STEP_RESOLVE_POS_HANDLE)])
             if (lai(out).positive, lai(out).negative) != (
                 lai(imm).positive, lai(imm).negative
             ):
@@ -200,7 +198,7 @@ def test_criterion_05_surgery_conservation():
             if out.genus + out.delta_plus != imm.genus + imm.delta_plus:
                 problems.append("positive resolution changed g + delta_plus")
         if imm.delta_minus > 0 and imm.orientable:
-            out = resolve_double_point(imm, -1, method=sg.METHOD_BLOWUP)
+            out = replay(imm, [SurgeryStep(sg.STEP_RESOLVE_NEG_BLOWUP)])
             if adjunction_rhs(out) != adjunction_rhs(imm):
                 problems.append("blow-up changed adjunction_rhs")
         if len(problems) > 5:

@@ -1,5 +1,7 @@
 """Tests for model scalar fields, finite differences, and grid sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,14 @@ def random_points(n):
     return [PointC2.from_reals(*coords) for coords in RNG.uniform(-1, 1, (n, 4))]
 
 
+def eigenvalues(form):
+    """Eigenvalues (min, max) of a 2x2 Hermitian form in closed form: the
+    scalar reference for ``eigmin_arrays``."""
+    mean = 0.5 * (form.a11 + form.a22)
+    disc = math.hypot(0.5 * (form.a11 - form.a22), abs(form.a12))
+    return (mean - disc, mean + disc)
+
+
 # ---------------------------------------------------------------------------
 # Zero sets and closed-form jets
 # ---------------------------------------------------------------------------
@@ -63,7 +73,7 @@ def test_hyperbolic_levi_is_diagonal():
         assert form.a11 == pytest.approx(4 * (x * x + y * y))
         assert form.a22 == 1.0
         assert form.a12 == 0j
-        assert form.eigmin == pytest.approx(min(form.a11, 1.0))
+        assert eigenvalues(form)[0] == pytest.approx(min(form.a11, 1.0))
 
 
 def test_double_levi_entries():
@@ -83,7 +93,7 @@ def test_double_eigmin_distance_to_complex_lines():
         x, y, u, v = p.reals
         near = min((u + y) ** 2 + (v - x) ** 2, (u - y) ** 2 + (v + x) ** 2)
         form = levi_closed(MODEL_DOUBLE_POINT, p)
-        assert form.eigmin == pytest.approx(0.5 * near, abs=1e-12)
+        assert eigenvalues(form)[0] == pytest.approx(0.5 * near, abs=1e-12)
 
 
 def test_hyperbolic_gradient_norm_identity():
@@ -226,9 +236,8 @@ def test_eigmin_arrays_matches_scalar_forms():
     vec = eigmin_arrays(a11, a22, a12)
     for k in range(64):
         form = HermitianForm2(float(a11[k]), float(a22[k]), complex(a12[k]))
-        assert vec[k] == pytest.approx(form.eigmin, abs=1e-12)
-        lo, hi = form.eigenvalues()
-        assert lo <= hi and lo == pytest.approx(form.eigmin)
+        lo, hi = eigenvalues(form)
+        assert lo <= hi and vec[k] == pytest.approx(lo, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from steinsurf.invariants import (
     INT64_MIN,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NO_STEIN,
-    AmbientDescriptor,
     oriented_class,
     unoriented_class,
 )
@@ -52,9 +51,11 @@ def valid_scenario() -> dict:
             "rp2": unoriented_class(1, normal_euler=2).to_json(),
         },
         "ambients": {
-            "cp2": AmbientDescriptor.projective_plane().to_json(),
-            "bundle": AmbientDescriptor.line_bundle(1, -3, stein=True).to_json(),
-            "abstract": AmbientDescriptor.abstract(1, 3, stein=False).to_json(),
+            "cp2": {"kind": "ProjectivePlane", "stein": False, "kaehler_b2plus_gt1": False},
+            "bundle": {"kind": {"name": "LineBundle", "base_genus": 1, "degree": -3},
+                       "stein": True, "kaehler_b2plus_gt1": False},
+            "abstract": {"kind": {"name": "Abstract", "normal_euler": 1, "c1_pairing": 3},
+                         "stein": False, "kaehler_b2plus_gt1": False},
         },
         "tasks": [
             {"task": "check", "surface": "line", "ambient": "cp2",

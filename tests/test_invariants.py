@@ -30,6 +30,14 @@ from steinsurf.certificates import (
     RULE_UNORIENTABLE_UNRESOLVED,
 )
 
+C2 = AmbientDescriptor(inv.KIND_AFFINE_PLANE, stein=True)
+CP2 = AmbientDescriptor(inv.KIND_PROJECTIVE_PLANE, stein=False)
+
+
+def _abstract(normal_euler, c1_pairing, stein):
+    return AmbientDescriptor(inv.KIND_ABSTRACT, stein=stein,
+                             normal_euler=normal_euler, c1_pairing=c1_pairing)
+
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -267,15 +275,21 @@ def test_ambient_validation():
         AmbientDescriptor("Oddball", stein=False)
 
 
-def test_ambient_json_round_trip():
-    for amb in (
-        AmbientDescriptor.affine_plane(),
-        AmbientDescriptor.projective_plane(),
-        AmbientDescriptor.quadric(),
-        AmbientDescriptor.line_bundle(1, -3, stein=True),
-        AmbientDescriptor.abstract(2, 4, stein=False, kaehler_b2plus_gt1=True),
+def test_ambient_from_json():
+    flags = {"stein": False, "kaehler_b2plus_gt1": False}
+    for record, amb in (
+        ({"kind": "AffinePlane", "stein": True, "kaehler_b2plus_gt1": False}, C2),
+        ({"kind": "ProjectivePlane", **flags}, CP2),
+        ({"kind": "Quadric", **flags}, AmbientDescriptor(inv.KIND_QUADRIC, stein=False)),
+        ({"kind": {"name": "LineBundle", "base_genus": 1, "degree": -3},
+          "stein": True, "kaehler_b2plus_gt1": False},
+         AmbientDescriptor(inv.KIND_LINE_BUNDLE, stein=True, base_genus=1, bundle_degree=-3)),
+        ({"kind": {"name": "Abstract", "normal_euler": 2, "c1_pairing": 4},
+          "stein": False, "kaehler_b2plus_gt1": True},
+         AmbientDescriptor(inv.KIND_ABSTRACT, stein=False, kaehler_b2plus_gt1=True,
+                           normal_euler=2, c1_pairing=4)),
     ):
-        assert AmbientDescriptor.from_json(amb.to_json()) == amb
+        assert AmbientDescriptor.from_json(record) == amb
     with pytest.raises(InvalidClassError):
         AmbientDescriptor.from_json({"kind": "AffinePlane"})
 
@@ -302,14 +316,14 @@ def cp2_degree_class(d, genus):
 
 def test_verdict_stein_after_isotopy():
     imm = cp2_degree_class(1, 3)  # indices 0 and -3
-    v = verdict(imm, AmbientDescriptor.projective_plane(), class_nonzero=True)
+    v = verdict(imm, CP2, class_nonzero=True)
     assert v.outcome == inv.OUTCOME_STEIN
     assert v.rule == RULE_INDEX_NONPOSITIVE
 
 
 def test_verdict_projective_embedded_obstruction():
     line = cp2_degree_class(1, 0)
-    v = verdict(line, AmbientDescriptor.projective_plane(), class_nonzero=True)
+    v = verdict(line, CP2, class_nonzero=True)
     assert v.outcome == inv.OUTCOME_NO_STEIN
     assert v.rule == RULE_CP2_EMBEDDED_BOUND
     assert v.witnesses[-1].point == "degree"
@@ -318,7 +332,7 @@ def test_verdict_projective_embedded_obstruction():
 def test_verdict_projective_immersed_obstruction():
     # Degree-3 sphere with one positive double point: fails the bound.
     imm = oriented_class(0, normal_euler=7, c1_pairing=9, delta_plus=1)
-    v = verdict(imm, AmbientDescriptor.projective_plane(), class_nonzero=True)
+    v = verdict(imm, CP2, class_nonzero=True)
     assert v.outcome == inv.OUTCOME_NO_STEIN
     assert v.rule == RULE_CP2_IMMERSED_BOUND
 
@@ -327,20 +341,20 @@ def test_verdict_projective_inconsistent_pairings():
     with pytest.raises(InvalidClassError):
         verdict(
             oriented_class(0, normal_euler=2, c1_pairing=3),
-            AmbientDescriptor.projective_plane(),
+            CP2,
             class_nonzero=True,
         )
     with pytest.raises(InvalidClassError):
         verdict(
             oriented_class(0, normal_euler=2, c1_pairing=4),
-            AmbientDescriptor.projective_plane(),
+            CP2,
             class_nonzero=True,
         )
 
 
 def test_verdict_stein_ambient_obstruction():
     sphere = oriented_class(0)  # indices +1/+1, embedded, fails genus bound
-    stein_ambient = AmbientDescriptor.abstract(0, 0, stein=True)
+    stein_ambient = _abstract(0, 0, stein=True)
     v = verdict(sphere, stein_ambient, class_nonzero=True)
     assert v.outcome == inv.OUTCOME_NO_STEIN
     assert v.rule == RULE_STEIN_AMBIENT_EMBEDDED
@@ -348,7 +362,7 @@ def test_verdict_stein_ambient_obstruction():
 
 def test_verdict_null_class_unresolved():
     sphere = oriented_class(0)
-    stein_ambient = AmbientDescriptor.abstract(0, 0, stein=True)
+    stein_ambient = _abstract(0, 0, stein=True)
     v = verdict(sphere, stein_ambient, class_nonzero=False)
     assert v.outcome == inv.OUTCOME_INCONCLUSIVE
     assert v.rule == RULE_NULL_CLASS_UNRESOLVED
@@ -356,7 +370,7 @@ def test_verdict_null_class_unresolved():
 
 def test_verdict_ambient_not_stein_unresolved():
     sphere = oriented_class(0)
-    v = verdict(sphere, AmbientDescriptor.quadric(), class_nonzero=True)
+    v = verdict(sphere, AmbientDescriptor(inv.KIND_QUADRIC, stein=False), class_nonzero=True)
     assert v.outcome == inv.OUTCOME_INCONCLUSIVE
     assert v.rule == RULE_AMBIENT_NOT_STEIN
 
@@ -367,21 +381,21 @@ def test_verdict_gray_area():
     imm = oriented_class(0, normal_euler=-2, c1_pairing=2, delta_minus=1)
     assert not stein_condition(imm).passed
     assert check_adjunction(imm, inv.VARIANT_IMMERSED_NECESSARY).passed
-    v = verdict(imm, AmbientDescriptor.abstract(-2, 2, stein=True), class_nonzero=True)
+    v = verdict(imm, _abstract(-2, 2, stein=True), class_nonzero=True)
     assert v.outcome == inv.OUTCOME_INCONCLUSIVE
     assert v.rule == RULE_GRAY_AREA
 
 
 def test_verdict_unorientable_unresolved():
     imm = unoriented_class(1, normal_euler=3)  # total index 4
-    v = verdict(imm, AmbientDescriptor.affine_plane(), class_nonzero=False)
+    v = verdict(imm, C2, class_nonzero=False)
     assert v.outcome == inv.OUTCOME_INCONCLUSIVE
     assert v.rule == RULE_UNORIENTABLE_UNRESOLVED
 
 
 def test_verdict_requires_valid_class():
     with pytest.raises(InvalidClassError):
-        verdict(oriented_class(0, normal_euler=1), AmbientDescriptor.affine_plane(), True)
+        verdict(oriented_class(0, normal_euler=1), C2, True)
 
 
 @settings(max_examples=300)
@@ -389,7 +403,7 @@ def test_verdict_requires_valid_class():
 def test_verdict_consistency(imm, nonzero):
     """Whatever the ladder decides, a passing index condition always means
     SteinAfterIsotopy and no other outcome."""
-    v = verdict(imm, AmbientDescriptor.affine_plane(), class_nonzero=nonzero)
+    v = verdict(imm, C2, class_nonzero=nonzero)
     if stein_condition(imm).passed:
         assert v.outcome == inv.OUTCOME_STEIN
     else:
@@ -398,5 +412,5 @@ def test_verdict_consistency(imm, nonzero):
 
 @given(unoriented_classes())
 def test_verdict_unorientable_never_no_stein(imm):
-    v = verdict(imm, AmbientDescriptor.affine_plane(), class_nonzero=True)
+    v = verdict(imm, C2, class_nonzero=True)
     assert v.outcome in (inv.OUTCOME_STEIN, inv.OUTCOME_INCONCLUSIVE)

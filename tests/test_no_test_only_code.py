@@ -1,11 +1,13 @@
 """Guard against code that only tests reach.
 
-Every name the package ``__init__`` files re-export, and every ``RULE_*``
-constant of ``certificates.py``, must be read somewhere in ``src/`` or
-``bench/``: as a loaded name or an attribute, which leaves out its own
-``def``/``class``/assignment and the import lines that re-export it.
-Tests do not count.  The few names kept for callers outside the package
-are listed in ``ALLOWED`` with the reason.
+Every name defined in ``src/`` (module-level functions, classes and
+constants such as the ``RULE_*`` strings, and the methods and properties
+of those classes; dunder names left out) and every name the package
+``__init__`` files re-export must be read somewhere in ``src/`` or
+``bench/``: as a loaded name or an attribute, which leaves out
+its own ``def``/``class``/assignment and the import lines that re-export
+it.  Tests do not count.  The few names kept for callers outside the
+package are listed in ``ALLOWED`` with the reason.
 """
 
 import ast
@@ -19,6 +21,7 @@ ALLOWED = {
     "det_identity_check": "acceptance criterion 6 checks the double point determinant identity",
     "invariants": "layer module of the public package, imported as steinsurf.invariants",
     "surgery": "layer module of the public package, imported as steinsurf.surgery",
+    "verify_local": "Python entry point for one verify-local suite, the API twin of the CLI subcommand",
 }
 
 
@@ -26,18 +29,35 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _assigned(node):
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _defined(body):
+    """Functions, classes and constants of a module body, with the
+    methods and properties of its classes."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (m.name for m in node.body if isinstance(m, ast.FunctionDef))
+        else:
+            yield from _assigned(node)
+
+
 def _checked_names():
     names = set()
+    for path in PACKAGE.rglob("*.py"):
+        names.update(n for n in _defined(_tree(path).body)
+                     if not (n.startswith("__") and n.endswith("__")))
     for init in INITS:
         for node in _tree(init).body:
             if isinstance(node, ast.ImportFrom):
                 names.update(alias.asname or alias.name for alias in node.names)
-    for node in _tree(PACKAGE / "certificates.py").body:
-        if isinstance(node, ast.Assign):
-            names.update(
-                t.id for t in node.targets
-                if isinstance(t, ast.Name) and t.id.startswith("RULE_")
-            )
     return names
 
 

@@ -15,7 +15,6 @@ from steinsurf.certificates import (
 from steinsurf.errors import ScenarioError
 from steinsurf.invariants import (
     OUTCOME_NO_STEIN,
-    AmbientDescriptor,
     oriented_class,
 )
 from steinsurf.scenario import (
@@ -33,7 +32,7 @@ from steinsurf.surgery import (
     replay,
 )
 
-CP2 = AmbientDescriptor.projective_plane()
+CP2 = {"kind": "ProjectivePlane", "stein": False, "kaehler_b2plus_gt1": False}
 
 
 def torus_check_scenario():
@@ -49,7 +48,7 @@ def failing_line_scenario():
     return {
         "schema": 1,
         "surfaces": {"line": cp2_curve_class(1).to_json()},
-        "ambients": {"cp2": CP2.to_json()},
+        "ambients": {"cp2": CP2},
         "tasks": [{"task": "check", "surface": "line", "ambient": "cp2"}],
     }
 
@@ -228,6 +227,19 @@ def test_replay_task_failure_modes():
     details = report.results[0].details
     assert details["position"] == 1
     assert "error" in details
+
+
+def test_replay_task_names_the_step_that_leaves_int64():
+    recipe = {
+        "base": oriented_class(0, normal_euler=-2**63 + 2).to_json(),
+        "steps": [{"kind": k} for k in ("AttachTorus", "AttachRP2", "AttachRP2")],
+    }
+    report = run_scenario({"schema": 1, "tasks": [{"task": "replay", "recipe": recipe}]})
+    assert report.results[0].details == {
+        "error": "step 3 (AttachRP2) failed: "
+                 "normal_euler out of signed 64-bit range: -9223372036854775810",
+        "position": 3,
+    }
 
 
 def test_reports_are_deterministic():

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinsurf import surgery as sg
-from steinsurf.errors import InfeasibleTargetError, SurgeryError
+from steinsurf.errors import InfeasibleTargetError, InvalidClassError, SurgeryError
 from steinsurf.certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
 from steinsurf.invariants import (
+    INT64_MAX,
+    INT64_MIN,
+    ImmersionClass,
+    SurfaceTopology,
     adjunction_rhs,
     lai,
     oriented_class,
@@ -15,24 +19,28 @@ from steinsurf.invariants import (
     validate,
 )
 from steinsurf.surgery import (
-    ATTACH_KINDS,
     PlanTarget,
     SurgeryRecipe,
     SurgeryStep,
-    attach,
-    connected_sum,
     cp2_curve_class,
     cp2_line_config_sphere,
     klein_bottle_summand,
     normalize_complex_points,
     plan_cp2,
+    read_recipe,
     real_projective_plane_cp2,
     replay,
     replay_trace,
-    resolve_double_point,
     rp2_summand,
     totally_real_torus,
     weinstein_sphere_summand,
+)
+
+ATTACH_STEPS = (
+    sg.STEP_ATTACH_TORUS,
+    sg.STEP_ATTACH_RP2,
+    sg.STEP_ATTACH_KLEIN,
+    sg.STEP_ATTACH_WEINSTEIN,
 )
 
 
@@ -53,6 +61,10 @@ def any_classes(draw):
     return unoriented_class(g, ne, dp, dm)
 
 
+def _replay_one(imm, kind, other=None):
+    return replay(imm, [SurgeryStep(kind, other=other)])
+
+
 # ---------------------------------------------------------------------------
 # Summands and connected sums
 # ---------------------------------------------------------------------------
@@ -70,7 +82,7 @@ def test_standard_summand_indices():
 
 def test_connected_sum_drops_total_index_by_two():
     torus = totally_real_torus()
-    out = connected_sum(torus, torus)
+    out = _replay_one(torus, sg.STEP_CONNECTED_SUM, torus)
     assert out.genus == 2 and out.orientable
     assert lai(out).total == lai(torus).total * 2 - 2
 
@@ -79,7 +91,7 @@ def test_connected_sum_with_cross_cap():
     """Summing a projective plane onto an oriented surface turns every
     handle into two cross-caps and drops the total index by 3."""
     base = oriented_class(1)  # totally real torus, index 0
-    out = connected_sum(base, rp2_summand())
+    out = _replay_one(base, sg.STEP_CONNECTED_SUM, rp2_summand())
     assert not out.orientable
     assert out.genus == 3  # 2 handles' worth of cross-caps plus one
     assert lai(out).total == -3
@@ -88,7 +100,7 @@ def test_connected_sum_with_cross_cap():
 def test_connected_sum_sphere_is_neutral_topologically():
     base = oriented_class(2, normal_euler=4, c1_pairing=2, delta_plus=1)
     sphere = oriented_class(0)
-    out = connected_sum(base, sphere)
+    out = _replay_one(base, sg.STEP_CONNECTED_SUM, sphere)
     assert out.topology == base.topology
     assert out.normal_euler == base.normal_euler
     # index still drops: the sphere brings +2 of its own and the sum -2
@@ -97,7 +109,7 @@ def test_connected_sum_sphere_is_neutral_topologically():
 
 @given(any_classes(), any_classes())
 def test_connected_sum_euler_characteristic(a, b):
-    out = connected_sum(a, b)
+    out = _replay_one(a, sg.STEP_CONNECTED_SUM, b)
     assert out.euler_char == a.euler_char + b.euler_char - 2
     assert out.orientable == (a.orientable and b.orientable)
     assert out.normal_euler == a.normal_euler + b.normal_euler
@@ -111,7 +123,7 @@ def test_connected_sum_euler_characteristic(a, b):
 
 def test_attach_torus_oriented():
     base = cp2_curve_class(1)
-    out = attach(base, sg.ATTACH_TORUS)
+    out = _replay_one(base, sg.STEP_ATTACH_TORUS)
     r0, r1 = lai(base), lai(out)
     assert out.genus == base.genus + 1
     assert r1.positive == r0.positive - 1
@@ -120,7 +132,7 @@ def test_attach_torus_oriented():
 
 def test_attach_torus_unorientable_drops_two():
     base = klein_bottle_summand()
-    out = attach(base, sg.ATTACH_TORUS)
+    out = _replay_one(base, sg.STEP_ATTACH_TORUS)
     assert out.genus == base.genus + 2  # one handle = two cross-caps
     assert lai(out).total == lai(base).total - 2
 
@@ -134,19 +146,19 @@ def test_attach_rp2_tower():
         assert not current.orientable
         assert lai(current).total == -3 * k
         assert stein_condition(current).passed
-        current = attach(current, sg.ATTACH_RP2)
+        current = _replay_one(current, sg.STEP_ATTACH_RP2)
 
 
 def test_attach_klein():
     base = oriented_class(0)
-    out = attach(base, sg.ATTACH_KLEIN)
+    out = _replay_one(base, sg.STEP_ATTACH_KLEIN)
     assert not out.orientable and out.genus == 2
     assert lai(out).total == lai(base).total - 2
 
 
 def test_attach_weinstein_sphere():
     base = cp2_curve_class(1)
-    out = attach(base, sg.ATTACH_WEINSTEIN)
+    out = _replay_one(base, sg.STEP_ATTACH_WEINSTEIN)
     assert out.genus == base.genus and out.orientable
     assert out.delta_plus == base.delta_plus + 1
     assert out.self_intersection == base.self_intersection
@@ -156,17 +168,15 @@ def test_attach_weinstein_sphere():
 
 
 def test_attach_weinstein_needs_orientable_base():
-    with pytest.raises(SurgeryError):
-        attach(rp2_summand(), sg.ATTACH_WEINSTEIN)
-    with pytest.raises(SurgeryError):
-        attach(oriented_class(0), "Mobius")
+    with pytest.raises(SurgeryError, match="Weinstein sphere attachment needs an orientable base"):
+        _replay_one(rp2_summand(), sg.STEP_ATTACH_WEINSTEIN)
 
 
-@given(any_classes(), st.sampled_from(ATTACH_KINDS))
+@given(any_classes(), st.sampled_from(ATTACH_STEPS))
 def test_attach_preserves_validity(imm, kind):
-    if kind == sg.ATTACH_WEINSTEIN and not imm.orientable:
+    if kind == sg.STEP_ATTACH_WEINSTEIN and not imm.orientable:
         return
-    out = attach(imm, kind)
+    out = _replay_one(imm, kind)
     assert validate(out).passed
     if out.orientable:
         r = lai(out)
@@ -180,7 +190,7 @@ def test_attach_preserves_validity(imm, kind):
 
 def test_resolve_positive_handle():
     base = cp2_line_config_sphere(3)  # sphere, one positive double point
-    out = resolve_double_point(base, +1)
+    out = _replay_one(base, sg.STEP_RESOLVE_POS_HANDLE)
     assert out.genus == 1 and out.delta_plus == 0
     assert out.normal_euler == base.normal_euler + 2
     assert out.self_intersection == base.self_intersection
@@ -191,7 +201,7 @@ def test_resolve_positive_handle():
 
 def test_resolve_negative_handle():
     base = oriented_class(0, normal_euler=2, delta_minus=1)
-    out = resolve_double_point(base, -1)
+    out = _replay_one(base, sg.STEP_RESOLVE_NEG_HANDLE)
     assert out.genus == 1 and out.delta_minus == 0
     assert out.self_intersection == base.self_intersection
     r0, r1 = lai(base), lai(out)
@@ -201,7 +211,7 @@ def test_resolve_negative_handle():
 
 def test_resolve_negative_blowup():
     base = oriented_class(2, normal_euler=4, c1_pairing=2, delta_minus=2)
-    out = resolve_double_point(base, -1, method=sg.METHOD_BLOWUP)
+    out = _replay_one(base, sg.STEP_RESOLVE_NEG_BLOWUP)
     assert out.topology == base.topology
     assert out.delta_minus == base.delta_minus - 1
     assert out.self_intersection == base.self_intersection
@@ -210,16 +220,12 @@ def test_resolve_negative_blowup():
 
 def test_resolution_preconditions():
     embedded = oriented_class(1)
-    with pytest.raises(SurgeryError):
-        resolve_double_point(embedded, +1)
-    with pytest.raises(SurgeryError):
-        resolve_double_point(embedded, -1)
-    with pytest.raises(SurgeryError):
-        resolve_double_point(oriented_class(0, delta_plus=1), +1, method=sg.METHOD_BLOWUP)
-    with pytest.raises(SurgeryError):
-        resolve_double_point(oriented_class(0, delta_plus=1), 2)
-    with pytest.raises(SurgeryError):
-        resolve_double_point(oriented_class(0, delta_plus=1), +1, method="Smoothing")
+    with pytest.raises(SurgeryError, match="no positive double point to resolve"):
+        _replay_one(embedded, sg.STEP_RESOLVE_POS_HANDLE)
+    for base in (embedded, oriented_class(0, delta_plus=1)):
+        for kind in (sg.STEP_RESOLVE_NEG_HANDLE, sg.STEP_RESOLVE_NEG_BLOWUP):
+            with pytest.raises(SurgeryError, match="no negative double point to resolve"):
+                _replay_one(base, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +301,22 @@ def test_replay_reports_failing_position():
     assert exc.value.position == 2
 
 
+def test_replay_reports_the_step_that_leaves_int64():
+    """A value leaving int64 fails its step like any precondition: the
+    error names the step and carries its position."""
+    base = oriented_class(0, normal_euler=-2**63 + 2)
+    steps = [SurgeryStep(k) for k in (sg.STEP_ATTACH_TORUS, sg.STEP_ATTACH_RP2, sg.STEP_ATTACH_RP2)]
+    for run in (replay, replay_trace):
+        with pytest.raises(SurgeryError) as exc:
+            run(base, steps)
+        assert exc.value.position == 3
+        assert str(exc.value) == (
+            "step 3 (AttachRP2) failed: "
+            "normal_euler out of signed 64-bit range: -9223372036854775810"
+        )
+        assert isinstance(exc.value.__cause__, InvalidClassError)
+
+
 def test_replay_trace_annotations():
     base = oriented_class(0, normal_euler=2, c1_pairing=4, delta_minus=1)
     steps = [
@@ -315,13 +337,13 @@ def test_recipe_self_checks():
     steps = (SurgeryStep(sg.STEP_ATTACH_TORUS),) * 3
     expected = replay(base, list(steps))
     recipe = SurgeryRecipe(base=base, steps=steps, expected=expected)
-    assert SurgeryRecipe.from_json(recipe.to_json()) == recipe
+    assert SurgeryRecipe(*read_recipe(recipe.to_json())) == recipe
     with pytest.raises(SurgeryError):
         SurgeryRecipe(base=base, steps=steps, expected=base)
     tampered = recipe.to_json()
     tampered["expected"]["normal_euler"] += 2
     with pytest.raises(SurgeryError):
-        SurgeryRecipe.from_json(tampered)
+        SurgeryRecipe(*read_recipe(tampered))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +388,7 @@ def test_every_step_preserves_structural_identities(imm):
 def test_positive_resolution_conserves_indices_and_budget(imm):
     if imm.delta_plus == 0:
         return
-    out = resolve_double_point(imm, +1)
+    out = _replay_one(imm, sg.STEP_RESOLVE_POS_HANDLE)
     if imm.orientable:
         assert out.genus + out.delta_plus == imm.genus + imm.delta_plus
         before, after = lai(imm), lai(out)
@@ -383,9 +405,146 @@ def test_positive_resolution_conserves_indices_and_budget(imm):
 def test_blowup_conserves_adjunction_rhs(imm):
     if imm.delta_minus == 0 or not imm.orientable:
         return
-    out = resolve_double_point(imm, -1, method=sg.METHOD_BLOWUP)
+    out = _replay_one(imm, sg.STEP_RESOLVE_NEG_BLOWUP)
     assert adjunction_rhs(out) == adjunction_rhs(imm)
     assert out.genus == imm.genus
+
+
+# ---------------------------------------------------------------------------
+# The fold against the per-move formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_connected_sum(a, b):
+    chi = a.euler_char + b.euler_char - 2
+    orientable = a.orientable and b.orientable
+    genus = (2 - chi) // 2 if orientable else 2 - chi
+    return ImmersionClass(
+        topology=SurfaceTopology(genus, orientable),
+        normal_euler=a.normal_euler + b.normal_euler,
+        c1_pairing=a.c1_pairing + b.c1_pairing,
+        delta_plus=a.delta_plus + b.delta_plus,
+        delta_minus=a.delta_minus + b.delta_minus,
+    )
+
+
+_REF_SUMMANDS = {
+    sg.STEP_ATTACH_TORUS: totally_real_torus,
+    sg.STEP_ATTACH_RP2: rp2_summand,
+    sg.STEP_ATTACH_KLEIN: klein_bottle_summand,
+    sg.STEP_ATTACH_WEINSTEIN: weinstein_sphere_summand,
+}
+
+
+def _ref_attach(imm, kind):
+    if kind == sg.STEP_ATTACH_WEINSTEIN and not imm.orientable:
+        raise SurgeryError("Weinstein sphere attachment needs an orientable base")
+    return _ref_connected_sum(imm, _REF_SUMMANDS[kind]())
+
+
+def _ref_resolve_double_point(imm, sign, blowup=False):
+    if sign == +1:
+        if imm.delta_plus == 0:
+            raise SurgeryError("no positive double point to resolve")
+    elif imm.delta_minus == 0:
+        raise SurgeryError("no negative double point to resolve")
+    if blowup:
+        return ImmersionClass(imm.topology, imm.normal_euler - 2, imm.c1_pairing,
+                              imm.delta_plus, imm.delta_minus - 1)
+    chi = imm.euler_char - 2
+    genus = (2 - chi) // 2 if imm.orientable else 2 - chi
+    topology = SurfaceTopology(genus, imm.orientable)
+    if sign == +1:
+        return ImmersionClass(topology, imm.normal_euler + 2, imm.c1_pairing,
+                              imm.delta_plus - 1, imm.delta_minus)
+    return ImmersionClass(topology, imm.normal_euler - 2, imm.c1_pairing,
+                          imm.delta_plus, imm.delta_minus - 1)
+
+
+def _ref_step(imm, step):
+    kind = step.kind
+    if kind == sg.STEP_CONNECTED_SUM:
+        return _ref_connected_sum(imm, step.other), None
+    if kind in _REF_SUMMANDS:
+        return _ref_attach(imm, kind), None
+    if kind == sg.STEP_RESOLVE_POS_HANDLE:
+        return _ref_resolve_double_point(imm, +1), None
+    if kind == sg.STEP_RESOLVE_NEG_HANDLE:
+        return _ref_resolve_double_point(imm, -1), None
+    if kind == sg.STEP_RESOLVE_NEG_BLOWUP:
+        out = _ref_resolve_double_point(imm, -1, blowup=True)
+        return out, "ambient blown up: one exceptional sphere added"
+    form = normalize_complex_points(imm)
+    return imm, (f"normal form: {form.special_elliptic} elliptic, "
+                 f"{form.special_hyperbolic_pos}+{form.special_hyperbolic_neg} hyperbolic")
+
+
+def _ref_replay_trace(base, steps):
+    """(final class, trace, error message, failing position); the class
+    is None when a step fails."""
+    current, trace = base, []
+    for position, step in enumerate(steps, start=1):
+        try:
+            current, note = _ref_step(current, step)
+        except (SurgeryError, InvalidClassError) as exc:
+            return None, trace, f"step {position} ({step.kind}) failed: {exc}", position
+        entry = {"position": position, "kind": step.kind, "result": current.to_json()}
+        if note is not None:
+            entry["annotation"] = note
+        trace.append(entry)
+    return current, trace, None, None
+
+
+def _small_or_edge(draw, lo, hi, edge):
+    """An integer in [lo, hi], or one time in eight an integer within 6
+    of ``edge``."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.integers(edge - 6, edge) if edge > 0 else st.integers(edge, edge + 6))
+    return draw(st.integers(lo, hi))
+
+
+@st.composite
+def fold_classes(draw):
+    """Valid classes, orientable or not, some with integers at the int64
+    edges so that a few steps leave the range."""
+    orientable = draw(st.booleans())
+    g = _small_or_edge(draw, 0 if orientable else 1, 6, INT64_MAX)
+    ne = _small_or_edge(draw, -12, 12, draw(st.sampled_from((INT64_MIN, INT64_MAX))))
+    c1 = 0
+    if orientable:
+        c1 = _small_or_edge(draw, -12, 12, draw(st.sampled_from((INT64_MIN, INT64_MAX))))
+        if (ne + c1) % 2 != 0:
+            ne += -1 if ne > 0 else 1
+    dp = _small_or_edge(draw, 0, 3, INT64_MAX)
+    dm = _small_or_edge(draw, 0, 3, INT64_MAX)
+    if orientable:
+        return oriented_class(g, ne, c1, dp, dm)
+    return unoriented_class(g, ne, dp, dm)
+
+
+fold_steps = st.one_of(
+    st.sampled_from([k for k in sg.STEP_KINDS if k != sg.STEP_CONNECTED_SUM]).map(SurgeryStep),
+    fold_classes().map(lambda other: SurgeryStep(sg.STEP_CONNECTED_SUM, other=other)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fold_classes(), st.lists(fold_steps, max_size=10))
+def test_fold_matches_the_per_move_formulas(base, steps):
+    """The translation table and the fold reproduce the connected sum,
+    attachment and resolution formulas step by step: the same classes,
+    the same trace entries, and the same failures at the same positions
+    (Weinstein spheres on unorientable bases, over-resolution, values
+    leaving int64)."""
+    final, trace, error, position = _ref_replay_trace(base, steps)
+    if error is None:
+        assert replay(base, steps) == final
+        assert replay_trace(base, steps) == (final, trace)
+        return
+    for run in (replay, replay_trace):
+        with pytest.raises(SurgeryError) as exc:
+            run(base, steps)
+        assert (str(exc.value), exc.value.position) == (error, position)
 
 
 # ---------------------------------------------------------------------------
