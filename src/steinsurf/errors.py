@@ -30,7 +30,8 @@ class SurgeryError(SteinsurfError, ValueError):
     """A surgery step cannot be applied to the given class.
 
     ``position`` is the 1-based position of the failing step when the
-    error arises inside a recipe replay, else None.
+    error arises inside a recipe replay (0 when the replay refuses its
+    base class), else None.
     """
 
     def __init__(self, message: str, position: int | None = None):

@@ -277,6 +277,16 @@ class IndexReport:
     negative: int | None
 
 
+PARITY_VIOLATION = ("parity violation: euler_char + normal_euler + c1_pairing is odd, "
+                    "the signed index split would not be integral")
+
+
+def odd_parity(imm: ImmersionClass) -> bool:
+    """The plain test behind :func:`validate`: an orientable class whose
+    chi + e + c1 is odd."""
+    return imm.orientable and (imm.euler_char + imm.normal_euler + imm.c1_pairing) % 2 == 1
+
+
 def validate(imm: ImmersionClass) -> Certificate:
     """Check that the signed index split is integral.
 
@@ -306,12 +316,8 @@ def lai(imm: ImmersionClass) -> IndexReport:
     complex points contribute separately; each signed part is half of
     (total plus or minus the Chern pairing).
     """
-    cert = validate(imm)
-    if not cert.passed:
-        raise InvalidClassError(
-            "parity violation: euler_char + normal_euler + c1_pairing is odd, "
-            "the signed index split would not be integral"
-        )
+    if odd_parity(imm):
+        raise InvalidClassError(PARITY_VIOLATION)
     total = imm.euler_char + imm.normal_euler
     if not imm.orientable:
         return IndexReport(total=total, positive=None, negative=None)
@@ -328,7 +334,7 @@ def adjunction_rhs(imm: ImmersionClass) -> int:
     """
     if not imm.orientable:
         raise InvalidClassError("adjunction bounds are for orientable classes only")
-    if not validate(imm).passed:
+    if odd_parity(imm):
         raise InvalidClassError("parity violation: adjunction right-hand side not integral")
     doubled = 2 + imm.self_intersection + abs(imm.c1_pairing)
     # Parity of self_intersection + |c1| matches the validated parity sum,
@@ -396,8 +402,8 @@ def stein_condition(imm: ImmersionClass) -> Certificate:
 class AmbientDescriptor:
     """Description of the ambient complex surface.
 
-    The flags ``stein`` and ``kaehler_b2plus_gt1`` are supplied by the
-    caller; nothing here tries to infer them.  Kind-specific parameters:
+    The flag ``stein`` is supplied by the caller; nothing here tries to
+    infer it.  Kind-specific parameters:
     ``base_genus`` and ``bundle_degree`` for line bundle total spaces over
     a closed Riemann surface, ``normal_euler`` and ``c1_pairing`` for an
     abstract ambient where the caller provides the pairings of the class
@@ -406,7 +412,6 @@ class AmbientDescriptor:
 
     kind: str
     stein: bool
-    kaehler_b2plus_gt1: bool = False
     base_genus: int | None = None
     bundle_degree: int | None = None
     normal_euler: int | None = None
@@ -442,12 +447,9 @@ class AmbientDescriptor:
             _check_record(name, kind, {"name", *fields})
             extra = {attr: _check_int64(key, kind[key]) for key, attr in fields.items()}
             kind = name
-        return cls(
-            kind=kind,
-            stein=_check_bool("stein", data["stein"]),
-            kaehler_b2plus_gt1=_check_bool("kaehler_b2plus_gt1", data["kaehler_b2plus_gt1"]),
-            **extra,
-        )
+        # Required and type-checked by schema 1, though no rule reads it.
+        _check_bool("kaehler_b2plus_gt1", data["kaehler_b2plus_gt1"])
+        return cls(kind=kind, stein=_check_bool("stein", data["stein"]), **extra)
 
 
 # JSON key -> attribute, for the kinds written as {"name": ..., ...}.
@@ -515,7 +517,7 @@ def verdict(imm: ImmersionClass, ambient: AmbientDescriptor, class_nonzero: bool
 
     ``class_nonzero`` is never inferred from the other data.
     """
-    if not validate(imm).passed:
+    if odd_parity(imm):
         raise InvalidClassError("verdict requires a class passing validate()")
     sc = stein_condition(imm)
     if sc.passed:

@@ -7,18 +7,13 @@ from .fields import (
     MODEL_SPECIAL_HYPERBOLIC,
     ScalarField,
     det_identity_check,
-    double_point_field,
     fd_gradient_arrays,
     fd_levi_arrays,
-    levi_closed,
-    levi_fd,
     model_field,
-    special_hyperbolic_field,
 )
 from .flow import CONVERGED_VALUE, FlowResult, flow_to_surface
 from .geometry import (
     Box4,
-    HermitianForm2,
     OrientedPlane,
     PointC2,
     eigmin_arrays,

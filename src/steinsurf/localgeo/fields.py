@@ -2,8 +2,9 @@
 
 A :class:`ScalarField` evaluates on real coordinate arrays (x, y, u, v)
 so grid sweeps stay vectorized.  Closed-form gradient and Levi jets are
-optional; finite differences fill in when they are absent.  Levi entries
-follow the usual conventions
+optional.  Only the plurisubharmonicity sweep (``sweeps._field_jets``)
+fills them in, from the 25-point stencil of :func:`fd_levi_arrays`, when
+they are absent.  Levi entries follow the usual conventions
 
     rho_zz = (rho_xx + rho_yy) / 4
     rho_ww = (rho_uu + rho_vv) / 4
@@ -22,7 +23,6 @@ The two models:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from ..certificates import Certificate, RULE_DET_IDENTITY, Witness
 from ..errors import GeometryError
-from .geometry import HermitianForm2, PointC2
+from .geometry import PointC2
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -52,7 +52,6 @@ class ScalarField:
     value: Callable
     gradient: Callable | None = None
     levi: Callable | None = None
-    fd_step: float = DEFAULT_FD_STEP
 
     @property
     def has_jets(self) -> bool:
@@ -64,19 +63,6 @@ class ScalarField:
         if not np.isfinite(out):
             raise GeometryError(f"field {self.name} non-finite at {p.reals}")
         return out
-
-    def gradient_fn(self) -> Callable:
-        """``gradient``, or central differences of ``value`` without it."""
-        if self.gradient is not None:
-            return self.gradient
-        return functools.partial(fd_gradient_arrays, self.value, h=self.fd_step)
-
-    def levi_at(self, p: PointC2) -> HermitianForm2:
-        if self.levi is not None:
-            x, y, u, v = p.reals
-            a11, a22, a12 = self.levi(x, y, u, v)
-            return HermitianForm2(float(a11), float(a22), complex(a12))
-        return levi_fd(self, p, self.fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +115,6 @@ def fd_levi_arrays(fn, x, y, u, v, h: float):
     return center, grad, (a11, a22, a12)
 
 
-def levi_fd(fld: ScalarField, p: PointC2, h: float | None = None) -> HermitianForm2:
-    """Finite-difference Levi form of any scalar field at a point."""
-    step = fld.fd_step if h is None else h
-    if step <= 0:
-        raise GeometryError(f"finite-difference step must be positive, got {step}")
-    x, y, u, v = p.reals
-    _, _, (a11, a22, a12) = fd_levi_arrays(fld.value, x, y, u, v, step)
-    out = HermitianForm2(float(a11), float(a22), complex(a12))
-    if not (np.isfinite(out.a11) and np.isfinite(out.a22) and np.isfinite(out.a12)):
-        raise GeometryError(f"non-finite Levi entries for {fld.name} at {p.reals}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Model fields
 # ---------------------------------------------------------------------------
@@ -179,41 +152,19 @@ def _double_levi(x, y, u, v):
     return (0.5 * s, 0.5 * s, 1j * (x * v - y * u))
 
 
-def special_hyperbolic_field(with_jets: bool = True) -> ScalarField:
-    """Squared distance |w - conj(z)^2|^2 to the special hyperbolic graph."""
-    return ScalarField(
-        name=MODEL_SPECIAL_HYPERBOLIC,
-        value=_hyperbolic_value,
-        gradient=_hyperbolic_gradient if with_jets else None,
-        levi=_hyperbolic_levi if with_jets else None,
-    )
-
-
-def double_point_field(with_jets: bool = True) -> ScalarField:
-    """Product (x^2+u^2)(y^2+v^2) vanishing on the double point model."""
-    return ScalarField(
-        name=MODEL_DOUBLE_POINT,
-        value=_double_value,
-        gradient=_double_gradient if with_jets else None,
-        levi=_double_levi if with_jets else None,
-    )
-
-
-_MODEL_FACTORIES = {
-    MODEL_SPECIAL_HYPERBOLIC: special_hyperbolic_field,
-    MODEL_DOUBLE_POINT: double_point_field,
+# Value, gradient and Levi form of each model, by kind.
+_MODELS = {
+    MODEL_SPECIAL_HYPERBOLIC: (_hyperbolic_value, _hyperbolic_gradient, _hyperbolic_levi),
+    MODEL_DOUBLE_POINT: (_double_value, _double_gradient, _double_levi),
 }
 
 
 def model_field(kind: str, with_jets: bool = True) -> ScalarField:
-    if kind not in _MODEL_FACTORIES:
+    """The model field of ``kind``; without jets it carries its value only."""
+    if kind not in _MODELS:
         raise GeometryError(f"unknown model kind {kind!r}")
-    return _MODEL_FACTORIES[kind](with_jets)
-
-
-def levi_closed(kind: str, p: PointC2) -> HermitianForm2:
-    """Closed-form Levi form of a model field at a point."""
-    return model_field(kind).levi_at(p)
+    value, gradient, levi = _MODELS[kind]
+    return ScalarField(kind, value, gradient, levi) if with_jets else ScalarField(kind, value)
 
 
 def det_identity_check(p: PointC2, rel_tol: float = 1e-12) -> Certificate:
@@ -224,8 +175,8 @@ def det_identity_check(p: PointC2, rel_tol: float = 1e-12) -> Certificate:
     Both degenerate exactly on the complex lines w = +-iz.
     """
     x, y, u, v = p.reals
-    form = levi_closed(MODEL_DOUBLE_POINT, p)
-    lhs = 4.0 * form.det
+    a11, a22, a12 = _double_levi(x, y, u, v)
+    lhs = 4.0 * (a11 * a22 - abs(a12) ** 2)
     s = x * x + y * y + u * u + v * v
     rhs = s * s - 4.0 * (x * v - y * u) ** 2
     bound = ((x * x + y * y) - (u * u + v * v)) ** 2

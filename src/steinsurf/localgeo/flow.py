@@ -52,15 +52,18 @@ def flow_to_surface(
     max_iters: int = 5000,
     box: Box4 | None = None,
 ) -> FlowResult:
-    """Flow ``start`` down the gradient of ``field`` until the value drops
-    below CONVERGED_VALUE, the iteration budget runs out, or the point
-    leaves ``box`` (default: the centered box of half width 2)."""
+    """Flow ``start`` down the closed-form gradient of ``field`` (a field
+    without one is refused) until the value drops below CONVERGED_VALUE,
+    the iteration budget runs out, or the point leaves ``box`` (default:
+    the centered box of half width 2)."""
+    if field.gradient is None:
+        raise GeometryError(f"field {field.name} has no closed-form gradient to flow along")
     if step <= 0:
         raise GeometryError(f"step must be positive, got {step}")
     box = Box4.symmetric(2.0) if box is None else box
     if not box.contains(start):
         raise GeometryError(f"start {start.reals} outside the flow box")
-    name, value_of, gradient_of = field.name, field.value, field.gradient_fn()
+    name, value_of, gradient_of = field.name, field.value, field.gradient
     (xl, yl, ul, vl), (xh, yh, uh, vh) = box.lo, box.hi
 
     def descent(x, y, u, v):

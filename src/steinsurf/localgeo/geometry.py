@@ -1,4 +1,4 @@
-"""Points, boxes, Hermitian forms, and oriented planes in C^2 = R^4.
+"""Points, boxes, Hermitian eigenvalues, and oriented planes in C^2 = R^4.
 
 The real coordinates are always ordered (x, y, u, v) with z = x + iy and
 w = u + iv.  The complex orientation of C^2 is the standard orientation
@@ -78,19 +78,6 @@ class Box4:
         """Uniform sample axes hitting both endpoints of every side."""
         return [np.linspace(l, h, n)
                 for l, h, n in zip(self.lo, self.hi, self.node_counts(step))]
-
-
-@dataclass(frozen=True)
-class HermitianForm2:
-    """2x2 Hermitian form [[a11, a12], [conj(a12), a22]] with real a11, a22."""
-
-    a11: float
-    a22: float
-    a12: complex
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - abs(self.a12) ** 2
 
 
 def eigmin_arrays(a11, a22, a12) -> np.ndarray:

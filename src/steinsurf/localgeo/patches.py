@@ -89,31 +89,18 @@ class SurfacePatch:
     """Immersed patch with vectorized chart and tangent callables.
 
     ``chart`` maps parameter arrays (s, t) to complex arrays (z, w);
-    ``tangents`` returns (z_s, w_s, z_t, w_t) and may be None, in which
-    case central differences with ``fd_step`` are used.
+    ``tangents`` returns the closed-form partial derivatives
+    (z_s, w_s, z_t, w_t) on the same arrays.
     """
 
     name: str
     chart: Callable
     domain: tuple[Rect, ...]
-    tangents: Callable | None = None
-    fd_step: float = 1e-6
+    tangents: Callable
 
     def point(self, s: float, t: float) -> PointC2:
         z, w = self.chart(s, t)
         return PointC2(complex(z), complex(w))
-
-    def tangent_arrays(self, s, t):
-        if self.tangents is not None:
-            return self.tangents(s, t)
-        h = self.fd_step
-        zp, wp = self.chart(s + h, t)
-        zm, wm = self.chart(s - h, t)
-        z_s, w_s = (zp - zm) / (2 * h), (wp - wm) / (2 * h)
-        zp, wp = self.chart(s, t + h)
-        zm, wm = self.chart(s, t - h)
-        z_t, w_t = (zp - zm) / (2 * h), (wp - wm) / (2 * h)
-        return z_s, w_s, z_t, w_t
 
 
 def _immersion_violation(z_s, w_s, z_t, w_t, shape):
@@ -149,7 +136,7 @@ def det_arrays(patch: SurfacePatch, s, t, check_immersion: bool = True) -> np.nd
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast(s, t).shape
-    z_s, w_s, z_t, w_t = patch.tangent_arrays(s, t)
+    z_s, w_s, z_t, w_t = patch.tangents(s, t)
     if check_immersion:
         violation = _immersion_violation(z_s, w_s, z_t, w_t, shape)
         if violation is not None:
@@ -242,8 +229,8 @@ def _rect_loop(rect: Rect) -> Callable:
     return sample_loop
 
 
-def _rect_winding(patch: SurfacePatch, rect: Rect, samples: int = 64) -> int:
-    return _loop_winding(patch, _rect_loop(rect), samples)
+def _rect_winding(patch: SurfacePatch, rect: Rect) -> int:
+    return _loop_winding(patch, _rect_loop(rect), MIN_WINDING_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +274,7 @@ _MAX_BISECTIONS = 90
 
 def _orientation_sign(patch: SurfacePatch, s: float, t: float) -> int:
     """Sign of Im(lambda) for T_t = lambda T_s at a complex point."""
-    z_s, w_s, z_t, w_t = patch.tangent_arrays(np.asarray(s), np.asarray(t))
+    z_s, w_s, z_t, w_t = patch.tangents(np.asarray(s), np.asarray(t))
     lam = (z_t * np.conj(z_s) + w_t * np.conj(w_s)) / (
         np.abs(z_s) ** 2 + np.abs(w_s) ** 2
     )

@@ -32,9 +32,9 @@ import numpy as np
 
 from ..certificates import Certificate, RULE_LEVI_PSH, Witness
 from ..errors import GeometryError
-# fd_gradient_arrays is not called here; it stays importable from this
-# module because the benchmark tracer (bench/tracer.py) wraps it here.
-from .fields import ScalarField, fd_gradient_arrays, fd_levi_arrays  # noqa: F401
+# Nothing in the package calls fd_gradient_arrays; it stays importable
+# here only because the benchmark tracer (bench/tracer.py) wraps it.
+from .fields import DEFAULT_FD_STEP, ScalarField, fd_gradient_arrays, fd_levi_arrays  # noqa: F401
 from .geometry import Box4, eigmin_arrays
 
 DEFAULT_CHUNK = 1 << 16
@@ -77,10 +77,11 @@ def grid_chunks(
 
 
 def _field_jets(fld: ScalarField, x, y, u, v):
-    """Value, gradient tuple, and Levi entries; closed-form when present."""
+    """Value, gradient tuple, and Levi entries: closed-form when the field
+    has them, else the 25-point stencil; the one closed-or-FD dispatch."""
     if fld.has_jets:
         return fld.value(x, y, u, v), fld.gradient(x, y, u, v), fld.levi(x, y, u, v)
-    return fd_levi_arrays(fld.value, x, y, u, v, fld.fd_step)
+    return fd_levi_arrays(fld.value, x, y, u, v, DEFAULT_FD_STEP)
 
 
 def psh_certificate(
@@ -88,13 +89,12 @@ def psh_certificate(
     box: Box4,
     grid_step: float,
     tol: float,
-    value_floor: float = VALUE_FLOOR,
 ) -> Certificate:
     """Certify plurisubharmonicity and off-surface nonvanishing gradient.
 
     Passes iff the smallest Levi eigenvalue is >= -tol at every grid
     point and |gradient| > tol at every grid point whose value exceeds
-    ``value_floor`` (points essentially on the zero set are exempt from
+    VALUE_FLOOR (points essentially on the zero set are exempt from
     the gradient condition).  Witnesses report the minimizing points for
     both quantities.
     """
@@ -117,7 +117,7 @@ def psh_certificate(
             best_eig = float(eig[k])
             best_eig_at = (float(x[k]), float(y[k]), float(u[k]), float(v[k]))
 
-        off_surface = np.asarray(val) > value_floor
+        off_surface = np.asarray(val) > VALUE_FLOOR
         if np.any(off_surface):
             gnorm = np.sqrt(sum(np.asarray(g) ** 2 for g in grad))
             gnorm = np.where(off_surface, gnorm, np.inf)

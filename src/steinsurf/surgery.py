@@ -18,8 +18,10 @@ whether the result can stay orientable:
   an annotation;
 * normalization leaves the class unchanged and records its normal form.
 
-A step fails when it would leave a double point count negative, or when
-a Weinstein sphere is attached to an unorientable base.  The genus comes
+A step fails when it would leave a double point count negative, when
+a Weinstein sphere is attached to an unorientable base, or when a
+connected sum takes a class that fails the parity check; a replay also
+refuses such a base.  The genus comes
 back from chi (2 - 2g orientable, 2 - g unorientable), so cross-cap counts
 come out right in the mixed cases: an orientable genus-g surface summed
 with a projective plane has 2g+1 cross-caps.  Recipes bundle a base class
@@ -34,10 +36,12 @@ from dataclasses import dataclass
 from .errors import InfeasibleTargetError, InvalidClassError, SurgeryError
 from .certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
 from .invariants import (
+    PARITY_VIOLATION,
     ImmersionClass,
     SurfaceTopology,
     _check_record,
     lai,
+    odd_parity,
     oriented_class,
     unoriented_class,
 )
@@ -242,6 +246,8 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass,
         )
     if step.kind == STEP_ATTACH_WEINSTEIN and not imm.orientable:
         raise SurgeryError("Weinstein sphere attachment needs an orientable base")
+    if step.kind == STEP_CONNECTED_SUM and odd_parity(step.other):
+        raise InvalidClassError(PARITY_VIOLATION)
     move = _sum_move(step.other) if step.kind == STEP_CONNECTED_SUM else _MOVES[step.kind]
     (chi, e, c1, dp, dm), keeps_orientable, note = move
     dp += imm.delta_plus
@@ -260,6 +266,8 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass,
 def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | None) -> ImmersionClass:
     """The one replay loop: :func:`replay` with one entry per step appended
     to ``trace`` unless it is None."""
+    if odd_parity(base):
+        raise SurgeryError(f"base class failed: {PARITY_VIOLATION}", position=0)
     current = base
     for position, step in enumerate(steps, start=1):
         try:
@@ -279,9 +287,10 @@ def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | No
 def replay(base: ImmersionClass, steps: list[SurgeryStep]) -> ImmersionClass:
     """Left-fold of the steps over the base class.
 
-    The first step that fails, on its precondition or on a value leaving
-    int64, aborts the replay with its 1-based position attached to the
-    error."""
+    The first step that fails, on its precondition, a parity-invalid
+    ConnectedSum class or a value leaving int64, aborts the replay with
+    its 1-based position attached to the error; a parity-invalid base
+    fails at position 0."""
     return _fold(base, steps, None)
 
 

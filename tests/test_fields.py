@@ -9,18 +9,17 @@ from steinsurf.certificates import RULE_DET_IDENTITY, RULE_LEVI_PSH
 from steinsurf.errors import GeometryError
 from steinsurf.localgeo import (
     Box4,
-    HermitianForm2,
     PointC2,
     ScalarField,
     det_identity_check,
     eigmin_arrays,
     fd_gradient_arrays,
+    fd_levi_arrays,
     flow_to_surface,
     grid_chunks,
-    levi_closed,
-    levi_fd,
     model_field,
     psh_certificate,
+    sweeps,
 )
 from steinsurf.localgeo.fields import (
     MODEL_DOUBLE_POINT,
@@ -35,12 +34,18 @@ def random_points(n):
     return [PointC2.from_reals(*coords) for coords in RNG.uniform(-1, 1, (n, 4))]
 
 
-def eigenvalues(form):
-    """Eigenvalues (min, max) of a 2x2 Hermitian form in closed form: the
-    scalar reference for ``eigmin_arrays``."""
-    mean = 0.5 * (form.a11 + form.a22)
-    disc = math.hypot(0.5 * (form.a11 - form.a22), abs(form.a12))
+def eigenvalues(a11, a22, a12):
+    """Eigenvalues (min, max) of the 2x2 Hermitian form
+    [[a11, a12], [conj(a12), a22]] in closed form: the scalar reference
+    for ``eigmin_arrays``."""
+    mean = 0.5 * (a11 + a22)
+    disc = math.hypot(0.5 * (a11 - a22), abs(a12))
     return (mean - disc, mean + disc)
+
+
+def levi(kind, p):
+    """Closed-form Levi entries (a11, a22, a12) of a model field at p."""
+    return model_field(kind).levi(*p.reals)
 
 
 # ---------------------------------------------------------------------------
@@ -69,21 +74,21 @@ def test_double_field_vanishes_on_both_planes():
 def test_hyperbolic_levi_is_diagonal():
     for p in random_points(20):
         x, y, _, _ = p.reals
-        form = levi_closed(MODEL_SPECIAL_HYPERBOLIC, p)
-        assert form.a11 == pytest.approx(4 * (x * x + y * y))
-        assert form.a22 == 1.0
-        assert form.a12 == 0j
-        assert eigenvalues(form)[0] == pytest.approx(min(form.a11, 1.0))
+        a11, a22, a12 = levi(MODEL_SPECIAL_HYPERBOLIC, p)
+        assert a11 == pytest.approx(4 * (x * x + y * y))
+        assert a22 == 1.0
+        assert a12 == 0j
+        assert eigenvalues(a11, a22, a12)[0] == pytest.approx(min(a11, 1.0))
 
 
 def test_double_levi_entries():
     for p in random_points(20):
         x, y, u, v = p.reals
         s = x * x + y * y + u * u + v * v
-        form = levi_closed(MODEL_DOUBLE_POINT, p)
-        assert form.a11 == pytest.approx(0.5 * s)
-        assert form.a22 == pytest.approx(0.5 * s)
-        assert form.a12 == pytest.approx(1j * (x * v - y * u))
+        a11, a22, a12 = levi(MODEL_DOUBLE_POINT, p)
+        assert a11 == pytest.approx(0.5 * s)
+        assert a22 == pytest.approx(0.5 * s)
+        assert a12 == pytest.approx(1j * (x * v - y * u))
 
 
 def test_double_eigmin_distance_to_complex_lines():
@@ -92,8 +97,9 @@ def test_double_eigmin_distance_to_complex_lines():
     for p in random_points(40):
         x, y, u, v = p.reals
         near = min((u + y) ** 2 + (v - x) ** 2, (u - y) ** 2 + (v + x) ** 2)
-        form = levi_closed(MODEL_DOUBLE_POINT, p)
-        assert eigenvalues(form)[0] == pytest.approx(0.5 * near, abs=1e-12)
+        assert eigenvalues(*levi(MODEL_DOUBLE_POINT, p))[0] == pytest.approx(
+            0.5 * near, abs=1e-12
+        )
 
 
 def test_hyperbolic_gradient_norm_identity():
@@ -124,12 +130,11 @@ def test_fd_gradient_matches_closed(kind):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_fd_levi_matches_closed(kind):
+    fld = model_field(kind)
     for p in random_points(30):
-        closed = levi_closed(kind, p)
-        fd = levi_fd(model_field(kind), p, h=1e-4)
-        assert fd.a11 == pytest.approx(closed.a11, abs=1e-6)
-        assert fd.a22 == pytest.approx(closed.a22, abs=1e-6)
-        assert fd.a12 == pytest.approx(closed.a12, abs=1e-6)
+        fd = fd_levi_arrays(fld.value, *p.reals, 1e-4)[2]
+        for got, want in zip(fd, fld.levi(*p.reals)):
+            assert got == pytest.approx(want, abs=1e-6)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -138,19 +143,12 @@ def test_value_only_field_falls_back_to_fd(kind):
     full = model_field(kind)
     assert not bare.has_jets and full.has_jets
     for p in random_points(10):
-        assert np.allclose(bare.gradient_fn()(*p.reals), full.gradient(*p.reals), atol=1e-5)
-        lazy, closed = bare.levi_at(p), full.levi_at(p)
-        assert lazy.a11 == pytest.approx(closed.a11, abs=1e-5)
-        assert lazy.a22 == pytest.approx(closed.a22, abs=1e-5)
-        assert lazy.a12 == pytest.approx(closed.a12, abs=1e-5)
-
-
-def test_levi_fd_rejects_nonpositive_step():
-    fld = model_field(MODEL_DOUBLE_POINT, with_jets=False)
-    origin = PointC2.from_reals(0, 0, 0, 0)
-    for bad in (0.0, -1e-3):
-        with pytest.raises(GeometryError):
-            levi_fd(fld, origin, h=bad)
+        lazy_value, lazy_grad, lazy_levi = sweeps._field_jets(bare, *p.reals)
+        value, grad, closed_levi = sweeps._field_jets(full, *p.reals)
+        assert lazy_value == value
+        assert np.allclose(lazy_grad, grad, atol=1e-5)
+        for got, want in zip(lazy_levi, closed_levi):
+            assert got == pytest.approx(want, abs=1e-5)
 
 
 def test_nonfinite_field_data_raises():
@@ -189,8 +187,8 @@ def test_det_identity_on_degenerate_lines():
         for s in (+1, -1):
             p = PointC2.from_reals(x, y, -s * y, s * x)
             assert det_identity_check(p).passed
-            form = levi_closed(MODEL_DOUBLE_POINT, p)
-            assert form.det == pytest.approx(0.0, abs=1e-14)
+            a11, a22, a12 = levi(MODEL_DOUBLE_POINT, p)
+            assert a11 * a22 - abs(a12) ** 2 == pytest.approx(0.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +233,7 @@ def test_eigmin_arrays_matches_scalar_forms():
     a12 = RNG.uniform(-2, 2, 64) + 1j * RNG.uniform(-2, 2, 64)
     vec = eigmin_arrays(a11, a22, a12)
     for k in range(64):
-        form = HermitianForm2(float(a11[k]), float(a22[k]), complex(a12[k]))
-        lo, hi = eigenvalues(form)
+        lo, hi = eigenvalues(float(a11[k]), float(a22[k]), complex(a12[k]))
         assert lo <= hi and vec[k] == pytest.approx(lo, abs=1e-12)
 
 

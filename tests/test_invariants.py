@@ -286,12 +286,16 @@ def test_ambient_from_json():
          AmbientDescriptor(inv.KIND_LINE_BUNDLE, stein=True, base_genus=1, bundle_degree=-3)),
         ({"kind": {"name": "Abstract", "normal_euler": 2, "c1_pairing": 4},
           "stein": False, "kaehler_b2plus_gt1": True},
-         AmbientDescriptor(inv.KIND_ABSTRACT, stein=False, kaehler_b2plus_gt1=True,
-                           normal_euler=2, c1_pairing=4)),
+         AmbientDescriptor(inv.KIND_ABSTRACT, stein=False, normal_euler=2, c1_pairing=4)),
     ):
         assert AmbientDescriptor.from_json(record) == amb
     with pytest.raises(InvalidClassError):
         AmbientDescriptor.from_json({"kind": "AffinePlane"})
+    # The flag no rule reads is still required, and still a bool.
+    with pytest.raises(InvalidClassError):
+        AmbientDescriptor.from_json({"kind": "ProjectivePlane", "stein": False})
+    with pytest.raises(InvalidClassError):
+        AmbientDescriptor.from_json({"kind": "ProjectivePlane", **flags, "kaehler_b2plus_gt1": 1})
 
 
 @pytest.mark.parametrize("base_genus", range(4))

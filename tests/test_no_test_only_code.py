@@ -1,8 +1,9 @@
 """Guard against code that only tests reach.
 
 Every name defined in ``src/`` (module-level functions, classes and
-constants such as the ``RULE_*`` strings, and the methods and properties
-of those classes; dunder names left out) and every name the package
+constants such as the ``RULE_*`` strings, and the methods, properties
+and annotated fields, such as dataclass fields, of those classes; dunder
+names left out) and every name the package
 ``__init__`` files re-export must be read somewhere in ``src/`` or
 ``bench/``: as a loaded name or an attribute, which leaves out
 its own ``def``/``class``/assignment and the import lines that re-export
@@ -39,12 +40,16 @@ def _assigned(node):
 
 def _defined(body):
     """Functions, classes and constants of a module body, with the
-    methods and properties of its classes."""
+    methods, properties and annotated fields of its classes."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
             if isinstance(node, ast.ClassDef):
-                yield from (m.name for m in node.body if isinstance(m, ast.FunctionDef))
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        yield member.name
+                    elif isinstance(member, ast.AnnAssign):
+                        yield from _assigned(member)
         else:
             yield from _assigned(node)
 

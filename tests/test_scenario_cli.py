@@ -242,6 +242,23 @@ def test_replay_task_names_the_step_that_leaves_int64():
     }
 
 
+def test_replay_task_refuses_classes_that_fail_the_parity_check():
+    odd = oriented_class(0, normal_euler=1).to_json()
+    parity = ("parity violation: euler_char + normal_euler + c1_pairing is odd, "
+              "the signed index split would not be integral")
+    recipes = (
+        ({"base": odd, "steps": [{"kind": "AttachTorus"}]},
+         {"error": f"base class failed: {parity}", "position": 0}),
+        ({"base": oriented_class(1).to_json(),
+          "steps": [{"kind": "ConnectedSum", "other": odd}, {"kind": "NormalizeComplexPoints"}]},
+         {"error": f"step 1 (ConnectedSum) failed: {parity}", "position": 1}),
+    )
+    for recipe, details in recipes:
+        report = run_scenario({"schema": 1, "tasks": [{"task": "replay", "recipe": recipe}]})
+        assert not report.results[0].passed
+        assert report.results[0].details == details
+
+
 def test_reports_are_deterministic():
     scenario = load_scenario(failing_line_scenario())
     first = run_tasks(scenario).to_json()

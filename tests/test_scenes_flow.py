@@ -22,9 +22,8 @@ from steinsurf.localgeo import (
     cutoff_jets,
     double_point_scene,
     exhaustion_certificate,
-    fd_gradient_arrays,
+    fd_levi_arrays,
     flow_to_surface,
-    levi_fd,
     model_field,
     special_hyperbolic_scene,
     tau_jets,
@@ -163,11 +162,9 @@ def test_tau_jets_match_finite_differences(scene, samples):
             for dc in np.eye(4)
         ]
         assert np.allclose(tau.gradient(x, y, u, v), fd_grad, atol=1e-5)
-        closed = tau.levi_at(p)
-        fd = levi_fd(tau, p, h=h)
-        assert fd.a11 == pytest.approx(closed.a11, abs=1e-3)
-        assert fd.a22 == pytest.approx(closed.a22, abs=1e-3)
-        assert fd.a12 == pytest.approx(closed.a12, abs=1e-3)
+        fd = fd_levi_arrays(tau.value, x, y, u, v, h)[2]
+        for got, want in zip(fd, tau.levi(x, y, u, v)):
+            assert got == pytest.approx(want, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +267,7 @@ def test_flow_evaluates_the_field_once_per_attempted_step():
 
 def _reference_descent(field, coords):
     x, y, u, v = PointC2.from_reals(*coords).reals
-    if field.gradient is not None:
-        g = np.array(field.gradient(x, y, u, v), dtype=float)
-    else:
-        g = np.array(fd_gradient_arrays(field.value, x, y, u, v, field.fd_step))
+    g = np.array(field.gradient(x, y, u, v), dtype=float)
     if not np.all(np.isfinite(g)):
         raise GeometryError(f"gradient of {field.name} non-finite at {(x, y, u, v)}")
     return -g.reshape(4)
@@ -325,10 +319,9 @@ def _reference_sample(field, rng, level, half_width):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), level=st.floats(1e-3, 0.05))
-@pytest.mark.parametrize("jets", [True, False])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_float_flow_is_bit_identical_to_the_numpy_stepper(kind, jets, seed, level):
-    fld = model_field(kind, with_jets=jets)
+def test_float_flow_is_bit_identical_to_the_numpy_stepper(kind, seed, level):
+    fld = model_field(kind)
     start = _reference_sample(fld, np.random.default_rng(seed), level, 0.6)
     result, expected = flow_to_surface(fld, start), _reference_flow(fld, start)
     assert result == expected
@@ -369,6 +362,21 @@ def test_flow_parameter_validation():
         flow_to_surface(fld, inside, step=0.0)
     with pytest.raises(GeometryError):
         flow_to_surface(fld, PointC2.from_reals(3.0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_flow_refuses_a_field_without_a_closed_gradient(kind):
+    fld = model_field(kind, with_jets=False)
+    calls = []
+
+    def value(*coords):
+        calls.append(coords)
+        return fld.value(*coords)
+
+    bare = dataclasses.replace(fld, value=value)
+    with pytest.raises(GeometryError, match=f"field {kind} has no closed-form gradient"):
+        flow_to_surface(bare, PointC2.from_reals(0.3, -0.2, 0.25, 0.1))
+    assert calls == []  # refused before the first evaluation
 
 
 def test_flow_escaping_the_box_raises():

@@ -317,6 +317,37 @@ def test_replay_reports_the_step_that_leaves_int64():
         assert isinstance(exc.value.__cause__, InvalidClassError)
 
 
+PARITY = (
+    "parity violation: euler_char + normal_euler + c1_pairing is odd, "
+    "the signed index split would not be integral"
+)
+
+
+def test_replay_refuses_a_base_that_fails_the_parity_check():
+    """chi + e + c1 = 3 is odd: the base is refused before any step, at
+    position 0, instead of replaying to a parity-invalid result."""
+    base = oriented_class(0, normal_euler=1)
+    for run in (replay, replay_trace):
+        with pytest.raises(SurgeryError) as exc:
+            run(base, [SurgeryStep(sg.STEP_ATTACH_TORUS)])
+        assert exc.value.position == 0
+        assert str(exc.value) == f"base class failed: {PARITY}"
+
+
+def test_connected_sum_refuses_a_class_that_fails_the_parity_check():
+    odd = oriented_class(0, normal_euler=1)
+    steps = [SurgeryStep(sg.STEP_ATTACH_TORUS), SurgeryStep(sg.STEP_CONNECTED_SUM, odd)]
+    for run in (replay, replay_trace):
+        with pytest.raises(SurgeryError) as exc:
+            run(oriented_class(1), steps)
+        assert exc.value.position == 2
+        assert str(exc.value) == f"step 2 (ConnectedSum) failed: {PARITY}"
+        assert isinstance(exc.value.__cause__, InvalidClassError)
+    # An unorientable summand carries no index split, so no parity check.
+    assert replay(oriented_class(1), [SurgeryStep(sg.STEP_CONNECTED_SUM,
+                                                  unoriented_class(1, normal_euler=1))])
+
+
 def test_replay_trace_annotations():
     base = oriented_class(0, normal_euler=2, c1_pairing=4, delta_minus=1)
     steps = [
