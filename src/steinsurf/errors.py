@@ -31,7 +31,8 @@ class SurgeryError(SteinsurfError, ValueError):
 
     ``position`` is the 1-based position of the failing step when the
     error arises inside a recipe replay (0 when the replay refuses its
-    base class), else None.
+    base class: a failed parity check, or an Euler characteristic outside
+    int64), else None.
     """
 
     def __init__(self, message: str, position: int | None = None):

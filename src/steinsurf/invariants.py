@@ -18,7 +18,10 @@ double points.  Out of these the module computes:
 Everything here is exact integer arithmetic.  Half-integers never occur
 for valid input because of the parity constraint checked by
 :func:`validate`; the split indices are asserted integral rather than
-rounded.
+rounded.  Every integer derived from a class (Euler characteristic,
+parity sum, index total and halves, self-intersection, the adjunction
+sides) is checked where it is derived to lie in int64, and a value
+outside raises InvalidClassError naming the quantity.
 """
 
 from __future__ import annotations
@@ -156,9 +159,7 @@ class SurfaceTopology:
 
 def euler_char(top: SurfaceTopology) -> int:
     """Euler characteristic: 2 - 2g orientable, 2 - g unorientable."""
-    if top.orientable:
-        return 2 - 2 * top.genus
-    return 2 - top.genus
+    return _check_int64("euler_char", 2 - 2 * top.genus if top.orientable else 2 - top.genus)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ class ImmersionClass:
     def self_intersection(self) -> int:
         """Self-intersection of the image class: normal Euler number plus
         twice the signed double point count."""
-        return self.normal_euler + 2 * self.delta
+        return _check_int64("self_intersection", self.normal_euler + 2 * self.delta)
 
     @property
     def embedded(self) -> bool:
@@ -303,7 +304,7 @@ def validate(imm: ImmersionClass) -> Certificate:
     )
     if not imm.orientable:
         return Certificate(True, RULE_INDEX_INTEGRALITY, witnesses)
-    parity_sum = chi + imm.normal_euler + imm.c1_pairing
+    parity_sum = _check_int64("parity_sum", chi + imm.normal_euler + imm.c1_pairing)
     witnesses = witnesses + (Witness("parity_sum", parity_sum),)
     return Certificate(parity_sum % 2 == 0, RULE_INDEX_INTEGRALITY, witnesses)
 
@@ -318,11 +319,11 @@ def lai(imm: ImmersionClass) -> IndexReport:
     """
     if odd_parity(imm):
         raise InvalidClassError(PARITY_VIOLATION)
-    total = imm.euler_char + imm.normal_euler
+    total = _check_int64("index total", imm.euler_char + imm.normal_euler)
     if not imm.orientable:
         return IndexReport(total=total, positive=None, negative=None)
-    positive = (total + imm.c1_pairing) // 2
-    negative = (total - imm.c1_pairing) // 2
+    positive = _check_int64("index positive part", (total + imm.c1_pairing) // 2)
+    negative = _check_int64("index negative part", (total - imm.c1_pairing) // 2)
     return IndexReport(total=total, positive=positive, negative=negative)
 
 
@@ -340,7 +341,7 @@ def adjunction_rhs(imm: ImmersionClass) -> int:
     # Parity of self_intersection + |c1| matches the validated parity sum,
     # so the division below is exact.
     assert doubled % 2 == 0
-    return doubled // 2
+    return _check_int64("adjunction_rhs", doubled // 2)
 
 
 def check_adjunction(imm: ImmersionClass, variant: str) -> Certificate:
@@ -363,11 +364,11 @@ def check_adjunction(imm: ImmersionClass, variant: str) -> Certificate:
         lhs = imm.genus
         rule = RULE_ADJ_EMBEDDED
     elif variant == VARIANT_IMMERSED_NECESSARY:
-        lhs = imm.genus + imm.delta_plus
+        lhs = _check_int64("genus + delta_plus", imm.genus + imm.delta_plus)
         rule = RULE_ADJ_IMMERSED_NECESSARY
     else:
-        lhs = imm.genus + imm.delta_plus
-        rhs = rhs + imm.delta_minus
+        lhs = _check_int64("genus + delta_plus", imm.genus + imm.delta_plus)
+        rhs = _check_int64("adjunction_rhs + delta_minus", rhs + imm.delta_minus)
         rule = RULE_ADJ_IMMERSED_SUFFICIENT
     witnesses = (Witness("lhs", lhs), Witness("rhs", rhs))
     return Certificate(lhs >= rhs, rule, witnesses)

@@ -19,6 +19,10 @@ The two models:
 * double point: rho = (x^2 + u^2)(y^2 + v^2), vanishing on the union of
   the two totally real planes {y = v = 0} and {x = u = 0}; Levi entries
   a11 = a22 = (x^2+y^2+u^2+v^2)/2 and a12 = i (x v - y u).
+
+Each model also carries the closed-form bound of its sublevel sets that
+the exhaustion sweep (``sweeps.fiber_chunks``) reads, the ``fiber`` of
+:class:`ScalarField`.
 """
 
 from __future__ import annotations
@@ -45,13 +49,18 @@ class ScalarField:
 
     ``value`` maps coordinate arrays to an array; ``gradient`` returns
     (rho_x, rho_y, rho_u, rho_v); ``levi`` returns (a11, a22, a12).  All
-    three must broadcast over numpy inputs.
+    three must broadcast over numpy inputs.  ``fiber``, when present, is
+    ``(axis, bound)``: over x and the coordinate t of ``axis`` (1 for y, 2
+    for u), ``bound(x, t, level)`` gives (c, cv, r) such that every point
+    with value < level has |s - c| <= r and |v - cv| <= r, where s is the
+    other one of y and u.
     """
 
     name: str
     value: Callable
     gradient: Callable | None = None
     levi: Callable | None = None
+    fiber: tuple[int, Callable] | None = None
 
     @property
     def has_jets(self) -> bool:
@@ -69,22 +78,14 @@ class ScalarField:
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def _shift(fn, coords, *moves):
-    """``fn`` at ``coords`` with each (axis, amount) in ``moves`` added to
-    its axis; the other coordinates pass through uncopied."""
-    moved = list(coords)
-    for axis, amount in moves:
-        moved[axis] = moved[axis] + amount
-    return fn(*moved)
-
-
 def fd_gradient_arrays(fn, x, y, u, v, h: float):
     """Central-difference gradient of a vectorized function (8 calls)."""
     coords = (x, y, u, v)
-    return tuple(
-        (_shift(fn, coords, (a, h)) - _shift(fn, coords, (a, -h))) / (2 * h)
-        for a in range(4)
-    )
+
+    def moved(axis, amount):
+        return fn(*(c + amount if a == axis else c for a, c in enumerate(coords)))
+
+    return tuple((moved(a, h) - moved(a, -h)) / (2 * h) for a in range(4))
 
 
 def fd_levi_arrays(fn, x, y, u, v, h: float):
@@ -94,19 +95,31 @@ def fd_levi_arrays(fn, x, y, u, v, h: float):
     The centre, the eight axis shifts and the sixteen mixed shifts are
     the only calls: the gradient reuses the +-h axis shifts of the pure
     second differences, so value and gradient come at no extra cost.
+    Each shifted coordinate c +- h is formed once and shared by every
+    call that moves its axis; the eight axis-shifted values are released
+    before the mixed calls, so they do not add to the peak memory.
     """
     coords = (x, y, u, v)
-    center = fn(x, y, u, v)
-    plus = [_shift(fn, coords, (a, h)) for a in range(4)]
-    minus = [_shift(fn, coords, (a, -h)) for a in range(4)]
+    shifted = {(a, s): c + s * h for a, c in enumerate(coords) for s in (1, -1)}
+
+    def at(*moves):
+        moved = list(coords)
+        for a, s in moves:
+            moved[a] = shifted[a, s]
+        return fn(*moved)
+
+    center = at()
+    plus = [at((a, 1)) for a in range(4)]
+    minus = [at((a, -1)) for a in range(4)]
     grad = tuple((p - m) / (2 * h) for p, m in zip(plus, minus))
-    xx, yy, uu, vv = ((p - 2 * center + m) / (h * h) for p, m in zip(plus, minus))
+    xx, yy, uu, vv = [(p - 2 * center + m) / (h * h) for p, m in zip(plus, minus)]
+    del plus, minus
 
     def mixed(a, b):
-        pp = _shift(fn, coords, (a, h), (b, h))
-        pm = _shift(fn, coords, (a, h), (b, -h))
-        mp = _shift(fn, coords, (a, -h), (b, h))
-        mm = _shift(fn, coords, (a, -h), (b, -h))
+        pp = at((a, 1), (b, 1))
+        pm = at((a, 1), (b, -1))
+        mp = at((a, -1), (b, 1))
+        mm = at((a, -1), (b, -1))
         return (pp - pm - mp + mm) / (4 * h * h)
 
     a11 = 0.25 * (xx + yy)
@@ -137,6 +150,11 @@ def _hyperbolic_levi(x, y, u, v):
     return (4 * (x * x + y * y) + zero, 1.0 + zero, zero.astype(complex))
 
 
+def _hyperbolic_fiber(x, y, level):
+    """Over (x, y): the disk of radius sqrt(level) around (u, v) = conj(z)^2."""
+    return x * x - y * y, -2 * x * y, np.sqrt(level)
+
+
 def _double_value(x, y, u, v):
     return (x * x + u * u) * (y * y + v * v)
 
@@ -152,10 +170,19 @@ def _double_levi(x, y, u, v):
     return (0.5 * s, 0.5 * s, 1j * (x * v - y * u))
 
 
-# Value, gradient and Levi form of each model, by kind.
+def _double_fiber(x, u, level):
+    """Over (x, u): y^2 + v^2 < level / (x^2 + u^2), the whole (y, v)
+    plane where x = u = 0."""
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(level / (x * x + u * u))
+    return 0.0, 0.0, r
+
+
+# Value, gradient, Levi form and sublevel fiber bound of each model, by kind.
 _MODELS = {
-    MODEL_SPECIAL_HYPERBOLIC: (_hyperbolic_value, _hyperbolic_gradient, _hyperbolic_levi),
-    MODEL_DOUBLE_POINT: (_double_value, _double_gradient, _double_levi),
+    MODEL_SPECIAL_HYPERBOLIC: (_hyperbolic_value, _hyperbolic_gradient, _hyperbolic_levi,
+                               (1, _hyperbolic_fiber)),
+    MODEL_DOUBLE_POINT: (_double_value, _double_gradient, _double_levi, (2, _double_fiber)),
 }
 
 
@@ -163,8 +190,8 @@ def model_field(kind: str, with_jets: bool = True) -> ScalarField:
     """The model field of ``kind``; without jets it carries its value only."""
     if kind not in _MODELS:
         raise GeometryError(f"unknown model kind {kind!r}")
-    value, gradient, levi = _MODELS[kind]
-    return ScalarField(kind, value, gradient, levi) if with_jets else ScalarField(kind, value)
+    value, gradient, levi, fiber = _MODELS[kind]
+    return ScalarField(kind, value, gradient, levi, fiber) if with_jets else ScalarField(kind, value)
 
 
 def det_identity_check(p: PointC2, rel_tol: float = 1e-12) -> Certificate:

@@ -18,6 +18,15 @@ form analytically:
 with h(t) = -log(eps - t).  Differencing through the log directly would
 lose ~(eps - t)^-4 h^2 of precision near the collar, which is why the
 chain rule is applied in closed form and the cutoff jets are analytic.
+
+The sweep visits only the grid nodes the model's closed-form fiber bound
+admits below L = eps - collar (``sweeps.fiber_chunks``): over each
+(x, y) the hyperbolic sublevel set is the disk of radius sqrt(L) around
+(u, v) = (x^2 - y^2, -2xy), and over each (x, u) with a = x^2 + u^2 > 0
+the double point's lies in |y|, |v| <= sqrt(L / a).  Each window is
+widened by one node on each side and the candidates come in row-major
+blocks, so the mask rho < L keeps the same nodes, in the same order, as
+a sweep of the whole grid would, and the certificate is the same.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .fields import (
     model_field,
 )
 from .geometry import Box4, eigmin_arrays
-from .sweeps import grid_chunks
+from .sweeps import fiber_chunks
 
 # Cutoff thresholds: on |z_loc| for hyperbolic charts (fractions of the
 # chart radius), on |z_loc|^2 + |w_loc|^2 for double point charts.
@@ -143,12 +152,10 @@ def double_point_scene(radius: float = 1.0) -> ModelChart:
 
 
 def tau_jets(chart: ModelChart, x, y, u, v):
-    """Value, complex gradient (tau_z, tau_w), and Levi entries of the
-    chart's term chi(c) * (|z|^2 + |w|^2)."""
-    z = x + 1j * y
+    """Levi entries (t11, t22, t12) of the chart's term
+    chi(c) * (|z|^2 + |w|^2)."""
+    zbar = np.conj(x + 1j * y)
     w = u + 1j * v
-    zbar = np.conj(z)
-    wbar = np.conj(w)
     q = (x * x + y * y) + (u * u + v * v)
     c = chart.cutoff_argument(x, y, u, v)
     chi, chi1, chi2 = cutoff_jets(c, *chart.cutoff_interval())
@@ -159,20 +166,16 @@ def tau_jets(chart: ModelChart, x, y, u, v):
         safe_c = np.where(c > 0, c, 1.0)
         chi_z = chi1 * zbar / (2.0 * safe_c)
         chi_zz = chi2 / 4.0 + chi1 / (4.0 * safe_c)
-        tau_z = chi_z * q + chi * zbar
-        tau_w = chi * wbar
         t11 = chi_zz * q + chi1 * c + chi
         t22 = chi + np.zeros_like(q)
         t12 = chi_z * w
     else:
         # c = q: chi_z = chi' zbar, etc.
-        tau_z = chi1 * zbar * q + chi * zbar
-        tau_w = chi1 * wbar * q + chi * wbar
         t11 = (chi2 * (x * x + y * y) + chi1) * q + 2.0 * chi1 * (x * x + y * y) + chi
         t22 = (chi2 * (u * u + v * v) + chi1) * q + 2.0 * chi1 * (u * u + v * v) + chi
         t12 = chi2 * zbar * w * q + 2.0 * chi1 * zbar * w
 
-    return chi * q, tau_z, tau_w, t11, t22, t12
+    return t11, t22, t12
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +193,10 @@ def exhaustion_certificate(
 ) -> Certificate:
     """Certify phi = -log(eps - rho) + delta * tau strongly psh.
 
-    Sweeps the grid points of ``box`` with rho < eps - collar and checks
-    that the smallest eigenvalue of the analytically assembled Levi form
-    of phi is strictly positive.  The collar (default eps/10) keeps the
+    Sweeps the grid points of ``box`` with rho < eps - collar, found
+    among the candidates of the model's fiber bound, and checks that the
+    smallest eigenvalue of the analytically assembled Levi form of phi
+    is strictly positive.  The collar (default eps/10) keeps the
     log factor h' = 1/(eps - rho) bounded, so the certificate margin is
     meaningful; the sublevel set beyond the collar retracts inward along
     rho in any case.
@@ -206,13 +210,14 @@ def exhaustion_certificate(
         raise GeometryError(f"collar must lie in (0, epsilon), got {collar}")
     box = Box4.symmetric(1.0) if box is None else box
     rho = model_field(chart.kind)
+    level = epsilon - collar
 
     best = math.inf
     best_at = None
     n_masked = 0
-    for x, y, u, v in grid_chunks(box, grid_step):
+    for x, y, u, v in fiber_chunks(box, grid_step, rho.fiber, level):
         val = np.asarray(rho.value(x, y, u, v), dtype=float)
-        mask = val < epsilon - collar
+        mask = val < level
         if not np.any(mask):
             continue
         n_masked += int(np.count_nonzero(mask))
@@ -222,7 +227,7 @@ def exhaustion_certificate(
         rho_z = 0.5 * (gx - 1j * gy)
         rho_w = 0.5 * (gu - 1j * gv)
         r11, r22, r12 = rho.levi(xs, ys, us, vs)
-        _, _, _, t11, t22, t12 = tau_jets(chart, xs, ys, us, vs)
+        t11, t22, t12 = tau_jets(chart, xs, ys, us, vs)
         h1 = 1.0 / (epsilon - t)
         h2 = h1 * h1
         a11 = h1 * r11 + h2 * np.abs(rho_z) ** 2 + delta * t11
@@ -236,7 +241,7 @@ def exhaustion_certificate(
 
     if best_at is None:
         raise GeometryError(
-            f"no grid points with rho < {epsilon - collar}; refine the grid"
+            f"no grid points with rho < {level}; refine the grid"
         )
     witnesses = (
         Witness(["phi_levi_min", *best_at], best),

@@ -19,6 +19,22 @@ smaller chunk made the finite-difference sweeps faster and cut the peak
 resident memory of a full psh_models + exhaustion run from about 220 MB
 to about 55 MB.
 
+Sublevel sweeps.  The exhaustion only needs the nodes where its rho lies
+below a level L, a few percent of the grid, so ``fiber_chunks`` never
+walks the rest.  A model's closed-form fiber bound (``ScalarField.fiber``)
+gives, over each node (x, t) of x and one middle axis t, a square window
+in the remaining middle axis s and in v that holds {rho < L}.  The window
+is turned into node indices with the axis's own ``linspace`` spacing and
+widened by one node on each side, which covers the rounding of both rho
+and the window ends, so every node with rho < L in floating point is a
+candidate.  Per x row, one (n_y, n_u) table holds each (y, u) line's run
+of v nodes; candidates are cut from those runs in row-major order, in
+blocks of at most ``chunk`` nodes, so no index array grows with more
+than the square of the node count.  Most candidates pass the mask, and
+the Levi assembly that follows keeps about 380 bytes per node alive, so
+the blocks are a quarter of ``DEFAULT_CHUNK``: at 2^16 the exhaustion
+alone peaked above the finite-difference sweep.
+
 A sweep refuses, before allocating anything, a non-finite grid step and
 any grid of more than ``MAX_GRID_NODES`` nodes.
 """
@@ -44,6 +60,17 @@ MAX_GRID_NODES = 1 << 28
 VALUE_FLOOR = 1e-8
 
 
+def _grid_shape(box: Box4, step: float) -> tuple[int, int, int, int]:
+    """Node counts of the grid; refuses, before allocating, a non-finite
+    step and a grid of more than MAX_GRID_NODES nodes."""
+    shape = box.node_counts(step)
+    if math.prod(shape) > MAX_GRID_NODES:
+        raise GeometryError(
+            f"grid step {step} gives more than {MAX_GRID_NODES} grid nodes"
+        )
+    return shape
+
+
 def grid_chunks(
     box: Box4, step: float, chunk: int = DEFAULT_CHUNK
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -54,11 +81,7 @@ def grid_chunks(
     MAX_GRID_NODES nodes.  Callers must not write to the yielded arrays:
     the trailing coordinates are read-only slices shared by every chunk.
     """
-    shape = box.node_counts(step)
-    if math.prod(shape) > MAX_GRID_NODES:
-        raise GeometryError(
-            f"grid step {step} gives more than {MAX_GRID_NODES} grid nodes"
-        )
+    shape = _grid_shape(box, step)
     ax = box.axes(step)
     split = next(k for k in range(1, 5) if math.prod(shape[k:]) <= chunk)
     block = math.prod(shape[split:])
@@ -74,6 +97,58 @@ def grid_chunks(
         n = (last - first) * block
         yield (*(np.repeat(a[i], block) for a, i in zip(ax, lead)),
                *(t[:n] for t in trailing))
+
+
+def fiber_chunks(
+    box: Box4, step: float, fiber, level: float, chunk: int = DEFAULT_CHUNK // 4
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the grid nodes of ``box`` that a field's fiber bound admits
+    below ``level``, as flat coordinate arrays, at most ``chunk`` points
+    at a time, in row-major order.
+
+    ``fiber`` is a field's ``(axis, bound)`` (see ``ScalarField``): over
+    each x node and node t of ``axis``, the nodes with |s - c| <= r and
+    |v - cv| <= r, each window widened by one node on either side, are
+    the candidates.  Every node where the value is below ``level`` is
+    among them.  Same refusals as :func:`grid_chunks`.
+    """
+    shape = _grid_shape(box, step)
+    ax = box.axes(step)
+    axis, bound = fiber
+    other = 3 - axis
+    # Lines are the (y, u) nodes of one x row, row-major; t runs along
+    # dimension axis - 1 of that (n_y, n_u) table and s along the other.
+    along_t = (-1, 1) if axis == 1 else (1, -1)
+    s_index = np.arange(shape[other]).reshape(along_t[::-1])
+
+    def window(k, center, radius):
+        # The linspace spacing, not ``step``: node j sits at lo + j * spacing.
+        lo, n = box.lo[k], shape[k]
+        spacing = (box.hi[k] - lo) / (n - 1)
+        first = np.ceil((center - radius - lo) / spacing) - 1
+        last = np.floor((center + radius - lo) / spacing) + 1
+        first = np.clip(first, 0, n).astype(np.int64).reshape(along_t)
+        last = np.clip(last, -1, n - 1).astype(np.int64).reshape(along_t)
+        return first, last
+
+    for x in ax[0]:
+        c, cv, r = np.broadcast_arrays(*bound(x, ax[axis], level))
+        s_first, s_last = window(other, c, r)
+        v_first, v_last = window(3, cv, r)
+        inside = (s_first <= s_index) & (s_index <= s_last)
+        runs = np.where(inside, np.maximum(v_last - v_first + 1, 0), 0).ravel()
+        starts = np.broadcast_to(v_first, inside.shape).ravel()
+        lines = np.flatnonzero(runs)
+        if lines.size == 0:
+            continue
+        ends = np.cumsum(runs[lines])
+        for first in range(0, int(ends[-1]), chunk):
+            node = np.arange(first, min(first + chunk, int(ends[-1])))
+            k = np.searchsorted(ends, node, side="right")
+            line = lines[k]
+            v = starts[line] + node - (ends[k] - runs[line])
+            y, u = np.divmod(line, shape[2])
+            yield np.full(node.size, x), ax[1][y], ax[2][u], ax[3][v]
 
 
 def _field_jets(fld: ScalarField, x, y, u, v):

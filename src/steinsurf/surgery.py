@@ -266,8 +266,11 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass,
 def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | None) -> ImmersionClass:
     """The one replay loop: :func:`replay` with one entry per step appended
     to ``trace`` unless it is None."""
-    if odd_parity(base):
-        raise SurgeryError(f"base class failed: {PARITY_VIOLATION}", position=0)
+    try:
+        if odd_parity(base):
+            raise InvalidClassError(PARITY_VIOLATION)
+    except InvalidClassError as exc:
+        raise SurgeryError(f"base class failed: {exc}", position=0) from exc
     current = base
     for position, step in enumerate(steps, start=1):
         try:
@@ -289,8 +292,8 @@ def replay(base: ImmersionClass, steps: list[SurgeryStep]) -> ImmersionClass:
 
     The first step that fails, on its precondition, a parity-invalid
     ConnectedSum class or a value leaving int64, aborts the replay with
-    its 1-based position attached to the error; a parity-invalid base
-    fails at position 0."""
+    its 1-based position attached to the error; a parity-invalid base,
+    or one whose Euler characteristic leaves int64, fails at position 0."""
     return _fold(base, steps, None)
 
 

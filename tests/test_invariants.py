@@ -1,10 +1,11 @@
 """Tests for the integer invariant layer: indices, genus bounds, verdicts."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steinsurf import invariants as inv
 from steinsurf.errors import InvalidClassError
+from steinsurf.scenario import run_scenario
 from steinsurf.invariants import (
     AmbientDescriptor,
     ImmersionClass,
@@ -418,3 +419,85 @@ def test_verdict_consistency(imm, nonzero):
 def test_verdict_unorientable_never_no_stein(imm):
     v = verdict(imm, C2, class_nonzero=True)
     assert v.outcome in (inv.OUTCOME_STEIN, inv.OUTCOME_INCONCLUSIVE)
+
+
+# ---------------------------------------------------------------------------
+# Derived integers stay in int64
+# ---------------------------------------------------------------------------
+
+INT64_MIN, INT64_MAX = inv.INT64_MIN, inv.INT64_MAX
+# Every quantity derived from a class that a report can print, and the
+# stored fields a surgery step computes.
+NAMED = ("euler_char", "parity_sum", "index total", "index positive part",
+         "index negative part", "self_intersection", "adjunction_rhs",
+         "genus + delta_plus", "adjunction_rhs + delta_minus",
+         "genus", "normal_euler", "c1_pairing", "delta_plus", "delta_minus")
+
+
+def _near(*edges):
+    """Small values, or values within 4 of an int64 edge or of 2^62, where
+    doubling leaves the range."""
+    near = [st.integers(max(e - 4, INT64_MIN), min(e + 4, INT64_MAX))
+            for e in (INT64_MIN, -(2 ** 62), 2 ** 62, INT64_MAX) if e in edges]
+    return st.one_of(st.integers(-3, 3), *near)
+
+
+@st.composite
+def edge_class_json(draw):
+    orientable = draw(st.booleans())
+    genus = draw(_near(2 ** 62, INT64_MAX).filter(lambda g: g >= (0 if orientable else 1)))
+    signed = _near(INT64_MIN, -(2 ** 62), 2 ** 62, INT64_MAX)
+    counts = _near(2 ** 62, INT64_MAX).filter(lambda n: n >= 0)
+    return {"topology": {"genus": genus, "orientable": orientable},
+            "normal_euler": draw(signed), "c1_pairing": draw(signed) if orientable else 0,
+            "delta_plus": draw(counts), "delta_minus": draw(counts)}
+
+
+def _integers(tree):
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        for item in tree:
+            yield from _integers(item)
+    elif isinstance(tree, int) and not isinstance(tree, bool):
+        yield tree
+
+
+REPRO = {"topology": {"genus": INT64_MAX, "orientable": True}, "normal_euler": 0,
+         "c1_pairing": 0, "delta_plus": 0, "delta_minus": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(surface=edge_class_json(), other=edge_class_json(),
+       variant=st.sampled_from([None, *inv.ADJUNCTION_VARIANTS]),
+       ambient=st.sampled_from(["plane", "cp2"]),
+       target=st.fixed_dictionaries({"orientable": st.booleans(), "genus": _near(INT64_MAX),
+                                     "degree": st.integers(1, 3)}))
+@example(surface=REPRO, other=REPRO, variant=None, ambient="plane",
+         target={"orientable": True, "genus": INT64_MAX, "degree": 1})
+def test_reports_print_only_int64_or_name_the_quantity_that_left_it(
+        surface, other, variant, ambient, target):
+    """check, plan and replay on classes near the int64 edges: every
+    integer in a report fits in int64, or the task failed with an error
+    naming the quantity that left the range."""
+    check = {"task": "check", "surface": "s", "ambient": ambient}
+    if variant is not None:
+        check["variant"] = variant
+    steps = [{"kind": "ConnectedSum", "other": other}, {"kind": "NormalizeComplexPoints"}]
+    report = run_scenario({
+        "schema": 1, "surfaces": {"s": surface},
+        "ambients": {"plane": {"kind": "AffinePlane", "stein": True, "kaehler_b2plus_gt1": False},
+                     "cp2": {"kind": "ProjectivePlane", "stein": False,
+                             "kaehler_b2plus_gt1": True}},
+        "tasks": [check, {"task": "plan", "target": target},
+                  {"task": "replay", "recipe": {"base": surface, "steps": steps}}],
+    }).to_json()
+    for task in report["tasks"]:
+        assert all(INT64_MIN <= n <= INT64_MAX for n in _integers(task))
+        error = task["details"].get("error", "")
+        if "out of signed 64-bit range" in error:
+            assert not task["pass"]
+            assert any(f"{name} out of signed 64-bit range" in error for name in NAMED)
+    if surface == REPRO:
+        assert report["tasks"][0]["details"] == {
+            "error": f"euler_char out of signed 64-bit range: {2 - 2 * INT64_MAX}"}

@@ -110,19 +110,31 @@ def test_single_chart_scene_is_the_model_field():
 
 
 def _tau_field(chart):
-    """tau_jets as a ScalarField, so the field's finite differences can
-    cross-check its closed-form jets."""
+    """tau = chi(c) * (|z|^2 + |w|^2) as a ScalarField: its value and
+    gradient are written out here as the reference, its Levi entries are
+    tau_jets, so the field's finite differences cross-check them."""
+
+    def jets(x, y, u, v):
+        q = (x * x + y * y) + (u * u + v * v)
+        c = chart.cutoff_argument(x, y, u, v)
+        return q, c, *cutoff_jets(c, *chart.cutoff_interval())
 
     def value(x, y, u, v):
-        return tau_jets(chart, x, y, u, v)[0]
+        q, _, chi, _, _ = jets(x, y, u, v)
+        return chi * q
 
     def gradient(x, y, u, v):
-        _, tz, tw, _, _, _ = tau_jets(chart, x, y, u, v)
-        return (2 * np.real(tz), -2 * np.imag(tz), 2 * np.real(tw), -2 * np.imag(tw))
+        # grad tau = chi grad q + q chi'(c) grad c, with grad q = 2 (x, y, u, v)
+        # and grad c = (x, y, 0, 0) / c (hyperbolic, c = |z|) or grad q.
+        q, c, chi, chi1, _ = jets(x, y, u, v)
+        if chart.kind == MODEL_SPECIAL_HYPERBOLIC:
+            grad_c = (x / c, y / c, 0.0, 0.0)
+        else:
+            grad_c = (2 * x, 2 * y, 2 * u, 2 * v)
+        return tuple(2 * chi * a + q * chi1 * g for a, g in zip((x, y, u, v), grad_c))
 
     def levi(x, y, u, v):
-        _, _, _, a11, a22, a12 = tau_jets(chart, x, y, u, v)
-        return a11, a22, a12
+        return tau_jets(chart, x, y, u, v)
 
     return ScalarField(name="SceneTau", value=value, gradient=gradient, levi=levi)
 

@@ -512,7 +512,12 @@ def _ref_step(imm, step):
 
 def _ref_replay_trace(base, steps):
     """(final class, trace, error message, failing position); the class
-    is None when a step fails."""
+    is None when a step fails, and a base whose Euler characteristic
+    leaves int64 fails at position 0."""
+    try:
+        base.euler_char
+    except InvalidClassError as exc:
+        return None, [], f"base class failed: {exc}", 0
     current, trace = base, []
     for position, step in enumerate(steps, start=1):
         try:
