@@ -19,9 +19,10 @@ Everything here is exact integer arithmetic.  Half-integers never occur
 for valid input because of the parity constraint checked by
 :func:`validate`; the split indices are asserted integral rather than
 rounded.  Every integer derived from a class (Euler characteristic,
-parity sum, index total and halves, self-intersection, the adjunction
-sides) is checked where it is derived to lie in int64, and a value
-outside raises InvalidClassError naming the quantity.
+parity sum, index total, self-intersection, the adjunction sides) is
+checked where it is derived to lie in int64, and a value outside raises
+InvalidClassError naming the quantity; the index halves lie in int64
+whenever the total and the Chern pairing do.
 """
 
 from __future__ import annotations
@@ -322,8 +323,10 @@ def lai(imm: ImmersionClass) -> IndexReport:
     total = _check_int64("index total", imm.euler_char + imm.normal_euler)
     if not imm.orientable:
         return IndexReport(total=total, positive=None, negative=None)
-    positive = _check_int64("index positive part", (total + imm.c1_pairing) // 2)
-    negative = _check_int64("index negative part", (total - imm.c1_pairing) // 2)
+    # total and c1 both lie in int64, so total +- c1 lies in
+    # [2 * INT64_MIN, 2 * INT64_MAX] and each floored half in int64.
+    positive = (total + imm.c1_pairing) // 2
+    negative = (total - imm.c1_pairing) // 2
     return IndexReport(total=total, positive=positive, negative=negative)
 
 

@@ -27,11 +27,19 @@ come out right in the mixed cases: an orientable genus-g surface summed
 with a projective plane has 2g+1 cross-caps.  Recipes bundle a base class
 with an ordered step list and are validated by replay, so a stored
 recipe is guaranteed to reproduce its expected result.
+
+A replay applies a run of n equal consecutive steps as its first step
+and one translation by n - 1 times that step's vector: every check a
+step makes is an interval condition on a value linear in the step's
+index, so the checks of the first and the last step stand for the whole
+run.  Validating a recipe, a plan's included, thus costs O(runs) step
+applications; its steps and a replay's trace remain O(steps) output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InfeasibleTargetError, InvalidClassError, SurgeryError
 from .certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
@@ -39,6 +47,7 @@ from .invariants import (
     PARITY_VIOLATION,
     ImmersionClass,
     SurfaceTopology,
+    _check_int64,
     _check_record,
     lai,
     odd_parity,
@@ -235,6 +244,12 @@ _MOVES = {
 }
 
 
+def _genus(chi: int, orientable: bool) -> int:
+    """Genus (cross-caps when unorientable) of the surface with Euler
+    characteristic ``chi``."""
+    return (2 - chi) // 2 if orientable else 2 - chi
+
+
 def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass, str | None]:
     """Apply one step, returning the new class and an optional annotation."""
     if step.kind == STEP_NORMALIZE:
@@ -258,32 +273,113 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass,
         raise SurgeryError("no negative double point to resolve")
     chi += imm.euler_char
     orientable = imm.orientable and keeps_orientable
-    genus = (2 - chi) // 2 if orientable else 2 - chi
-    topology = SurfaceTopology(genus, orientable)
+    topology = SurfaceTopology(_genus(chi, orientable), orientable)
     return ImmersionClass(topology, imm.normal_euler + e, imm.c1_pairing + c1, dp, dm), note
+
+
+def _step(imm: ImmersionClass, step: SurgeryStep, position: int) -> tuple[ImmersionClass, str | None]:
+    """:func:`_apply_step`, with a failure reported at ``position``."""
+    try:
+        return _apply_step(imm, step)
+    except (SurgeryError, InvalidClassError) as exc:
+        raise SurgeryError(
+            f"step {position} ({step.kind}) failed: {exc}", position=position
+        ) from exc
+
+
+def _run_end(before: ImmersionClass, first: ImmersionClass, count: int) -> ImmersionClass | None:
+    """The class after ``count`` equal steps, the first of which took
+    ``before`` to ``first``; None when a later one of them fails.
+
+    Every step of the run adds first - before to (chi, e, c1, delta_plus,
+    delta_minus) and keeps the orientability of ``first``, so each value a
+    step checks is linear in the step's index (the genus too: chi stays
+    even on orientable classes), and each check asks that value to lie in
+    an interval: the input's chi in int64, the output's genus, integers
+    and double point counts in range.  A check that holds at the first and
+    the last step holds at every step between, so the last step's checks,
+    run here once, stand for those of the whole run.
+    """
+    try:
+        chi = before.euler_char
+        d_chi = first.euler_char - chi
+        _check_int64("euler_char", chi + (count - 1) * d_chi)  # the last step's input
+        return ImmersionClass(
+            SurfaceTopology(_genus(chi + count * d_chi, first.orientable), first.orientable),
+            before.normal_euler + count * (first.normal_euler - before.normal_euler),
+            before.c1_pairing + count * (first.c1_pairing - before.c1_pairing),
+            before.delta_plus + count * (first.delta_plus - before.delta_plus),
+            before.delta_minus + count * (first.delta_minus - before.delta_minus),
+        )
+    except InvalidClassError:
+        return None
+
+
+def _run_trace(position: int, kind: str, note: str | None, first: ImmersionClass,
+               last: ImmersionClass, count: int) -> list[dict]:
+    """Trace entries of the steps after the first in a run of ``count``
+    equal steps from ``position`` on: the results step evenly from
+    ``first`` to ``last``, each equal to the ``to_json()`` of the class
+    that step reaches."""
+    orientable, span = first.orientable, count - 1
+    g, e, c = first.genus, first.normal_euler, first.c1_pairing
+    p, m = first.delta_plus, first.delta_minus
+    dg, de, dc = (last.genus - g) // span, (last.normal_euler - e) // span, (last.c1_pairing - c) // span
+    dp, dm = (last.delta_plus - p) // span, (last.delta_minus - m) // span
+    entries = [{"position": position + k, "kind": kind, "result": {
+        "topology": {"genus": g + k * dg, "orientable": orientable},
+        "normal_euler": e + k * de,
+        "c1_pairing": c + k * dc,
+        "delta_plus": p + k * dp,
+        "delta_minus": m + k * dm,
+    }} for k in range(1, count)]
+    if note is not None:
+        for entry in entries:
+            entry["annotation"] = note
+    return entries
+
+
+def _runs(steps: list[SurgeryStep]):
+    """(step, count) for each run of ``count`` equal consecutive steps.
+    Neighbours mostly differ in kind, which is compared before the steps."""
+    i, n = 0, len(steps)
+    while i < n:
+        step, j = steps[i], i + 1
+        while j < n and (steps[j] is step or steps[j].kind == step.kind and steps[j] == step):
+            j += 1
+        yield step, j - i
+        i = j
 
 
 def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | None) -> ImmersionClass:
     """The one replay loop: :func:`replay` with one entry per step appended
-    to ``trace`` unless it is None."""
+    to ``trace`` unless it is None.
+
+    The first step of a run of equal steps goes through
+    :func:`_apply_step` and the rest are one translation
+    (:func:`_run_end`); only when that fails are they applied one by one,
+    to find the step that fails and its message."""
     try:
         if odd_parity(base):
             raise InvalidClassError(PARITY_VIOLATION)
     except InvalidClassError as exc:
         raise SurgeryError(f"base class failed: {exc}", position=0) from exc
-    current = base
-    for position, step in enumerate(steps, start=1):
-        try:
-            current, note = _apply_step(current, step)
-        except (SurgeryError, InvalidClassError) as exc:
-            raise SurgeryError(
-                f"step {position} ({step.kind}) failed: {exc}", position=position
-            ) from exc
+    current, position = base, 1
+    for step, count in _runs(steps):
+        first, note = _step(current, step, position)
+        last = first if count == 1 else _run_end(current, first, count)
+        if last is None:
+            last = first
+            for later in range(position + 1, position + count):
+                last, _ = _step(last, step, later)  # raises at the failing step
         if trace is not None:
-            entry = {"position": position, "kind": step.kind, "result": current.to_json()}
+            entry = {"position": position, "kind": step.kind, "result": first.to_json()}
             if note is not None:
                 entry["annotation"] = note
             trace.append(entry)
+            if count > 1:
+                trace += _run_trace(position, step.kind, note, first, last, count)
+        current, position = last, position + count
     return current
 
 
@@ -321,7 +417,7 @@ class SurgeryRecipe:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        actual = replay(self.base, list(self.steps))
+        actual = replay(self.base, self.steps)
         if actual != self.expected:
             raise SurgeryError(
                 "recipe does not replay to its expected class: "
@@ -373,7 +469,8 @@ class PlanTarget:
 
 
 # The planner emits one step record per attached summand or resolved
-# double point, so its work and output grow with the target genus.
+# double point, so its output grows with the target genus; its replay
+# check does not, since the steps form at most two runs.
 MAX_PLAN_STEPS = 1 << 20
 
 
@@ -459,5 +556,5 @@ def _recipe(
             f"target needs {records} step records, more than MAX_PLAN_STEPS = {MAX_PLAN_STEPS}",
             rule="input",
         )
-    steps = tuple(step for kind, count in moves for step in (SurgeryStep(kind),) * count)
+    steps = tuple(chain.from_iterable((SurgeryStep(kind),) * count for kind, count in moves))
     return SurgeryRecipe(base=base, steps=steps, expected=_target_class(target))

@@ -1,7 +1,9 @@
 """Tests for the surgery calculus: sums, attachments, resolutions, recipes."""
 
+from itertools import groupby
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steinsurf import surgery as sg
 from steinsurf.errors import InfeasibleTargetError, InvalidClassError, SurgeryError
@@ -583,6 +585,57 @@ def test_fold_matches_the_per_move_formulas(base, steps):
         assert (str(exc.value), exc.value.position) == (error, position)
 
 
+@st.composite
+def step_runs(draw):
+    """One to four runs of equal steps, of any kind and up to 40 long.  A
+    ConnectedSum run repeats one ``other``; a run is one shared step or
+    equal copies of it."""
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sg.STEP_KINDS))
+        other = draw(fold_classes()) if kind == sg.STEP_CONNECTED_SUM else None
+        count = draw(st.integers(1, 40))
+        if draw(st.booleans()):
+            steps += [SurgeryStep(kind, other)] * count
+        else:
+            steps += [SurgeryStep(kind, other) for _ in range(count)]
+    return steps
+
+
+def _run(kind, count):
+    return [SurgeryStep(kind)] * count
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_classes(), step_runs())
+# Delta plus runs out at step 4 of 10, then at step 6 in the second run.
+@example(oriented_class(0, normal_euler=-2, delta_plus=3), _run(sg.STEP_RESOLVE_POS_HANDLE, 10))
+@example(oriented_class(0, delta_plus=2),
+         _run(sg.STEP_ATTACH_TORUS, 3) + _run(sg.STEP_RESOLVE_POS_HANDLE, 10))
+# normal_euler passes INT64_MIN at step 5, delta_plus INT64_MAX at step 4.
+@example(oriented_class(0, normal_euler=INT64_MIN + 8), _run(sg.STEP_ATTACH_WEINSTEIN, 10))
+@example(oriented_class(0, normal_euler=-2, delta_plus=INT64_MAX - 3),
+         _run(sg.STEP_ATTACH_WEINSTEIN, 10))
+# chi = INT64_MIN + 8 - 2k after k tori: the input of step 6 leaves int64;
+# the output of a last step is not checked, so five tori pass.
+@example(oriented_class(2**62 - 3), _run(sg.STEP_ATTACH_TORUS, 10))
+@example(oriented_class(2**62 - 3), _run(sg.STEP_ATTACH_TORUS, 5))
+def test_runs_of_equal_steps_match_the_per_move_formulas(base, steps):
+    """A run of equal steps, replayed as its first step and one
+    translation, gives the same class, trace, message and position as
+    the per-move formulas applied one step at a time, including runs that
+    fail part-way through."""
+    final, trace, error, position = _ref_replay_trace(base, steps)
+    if error is None:
+        assert replay(base, steps) == final
+        assert replay_trace(base, steps) == (final, trace)
+        return
+    for run in (replay, replay_trace):
+        with pytest.raises(SurgeryError) as exc:
+            run(base, steps)
+        assert (str(exc.value), exc.value.position) == (error, position)
+
+
 # ---------------------------------------------------------------------------
 # Planner
 # ---------------------------------------------------------------------------
@@ -696,3 +749,36 @@ def test_plan_round_trip(degree, extra_genus, delta_plus):
     assert out.c1_pairing == 3 * degree
     assert stein_condition(out).passed
     assert replay(recipe.base, list(recipe.steps)) == out
+
+
+PLAN_KINDS = {1: "embedded", 3: "immersed", None: "rp2"}
+COUNTED_PLANS = [
+    PlanTarget(orientable=True, genus=genus, degree=1)
+    for genus in (10, 10**4, sg.MAX_PLAN_STEPS)
+] + [
+    # 2 * genus + 6 steps: Weinstein spheres, then resolutions.
+    PlanTarget(orientable=True, genus=genus, delta_plus=7, degree=3)
+    for genus in (10, 10**4, sg.MAX_PLAN_STEPS // 2 - 3)
+] + [
+    PlanTarget(orientable=False, genus=genus) for genus in (10, 10**4, sg.MAX_PLAN_STEPS + 1)
+]
+
+
+@pytest.mark.parametrize("target", COUNTED_PLANS,
+                         ids=lambda t: f"{PLAN_KINDS[t.degree]}-{t.genus}")
+def test_plan_applies_one_step_per_run(monkeypatch, target):
+    """Checking a plan applies one step per run of equal steps, at most
+    two, whatever the genus; up to MAX_PLAN_STEPS step records."""
+    calls = []
+    apply_step = sg._apply_step
+
+    def counting(imm, step):
+        calls.append(step.kind)
+        return apply_step(imm, step)
+
+    monkeypatch.setattr(sg, "_apply_step", counting)
+    recipe = plan_cp2(target)
+    runs = [kind for kind, _ in groupby(step.kind for step in recipe.steps)]
+    assert calls == runs
+    assert len(runs) <= 2
+    assert recipe.expected.genus == target.genus
