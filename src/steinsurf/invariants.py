@@ -407,19 +407,16 @@ class AmbientDescriptor:
     """Description of the ambient complex surface.
 
     The flag ``stein`` is supplied by the caller; nothing here tries to
-    infer it.  Kind-specific parameters:
-    ``base_genus`` and ``bundle_degree`` for line bundle total spaces over
-    a closed Riemann surface, ``normal_euler`` and ``c1_pairing`` for an
-    abstract ambient where the caller provides the pairings of the class
-    directly.
+    infer it.  The kind-specific parameters of a JSON record (``base_genus``
+    and ``degree`` for line bundle total spaces over a closed Riemann
+    surface, ``normal_euler`` and ``c1_pairing`` for an abstract ambient
+    where the caller provides the pairings of the class directly) are
+    required and type-checked by :meth:`from_json`, though no rule reads
+    them.
     """
 
     kind: str
     stein: bool
-    base_genus: int | None = None
-    bundle_degree: int | None = None
-    normal_euler: int | None = None
-    c1_pairing: int | None = None
 
     def __post_init__(self):
         if self.kind not in AMBIENT_KINDS:
@@ -428,38 +425,32 @@ class AmbientDescriptor:
             raise InvalidClassError("the affine plane is Stein")
         if self.kind in (KIND_PROJECTIVE_PLANE, KIND_QUADRIC) and self.stein:
             raise InvalidClassError(f"{self.kind} is compact, hence not Stein")
-        if self.kind == KIND_LINE_BUNDLE:
-            if self.base_genus is None or self.bundle_degree is None:
-                raise InvalidClassError("LineBundle ambient needs base_genus and bundle_degree")
-            if self.base_genus < 0:
-                raise InvalidClassError("base_genus must be nonnegative")
-        if self.kind == KIND_ABSTRACT:
-            if self.normal_euler is None or self.c1_pairing is None:
-                raise InvalidClassError("Abstract ambient needs normal_euler and c1_pairing")
 
     @classmethod
     def from_json(cls, data: dict) -> "AmbientDescriptor":
         _check_record("ambient", data, {"kind", "stein", "kaehler_b2plus_gt1"})
         kind = data["kind"]
-        extra: dict = {}
         if isinstance(kind, dict):
             name = kind.get("name")
-            fields = _KIND_FIELDS.get(name) if isinstance(name, str) else None
-            if fields is None:
+            keys = _KIND_FIELDS.get(name) if isinstance(name, str) else None
+            if keys is None:
                 raise InvalidClassError(f"parametrized ambient kind must be one of "
                                         f"{sorted(_KIND_FIELDS)}, got {name!r}")
-            _check_record(name, kind, {"name", *fields})
-            extra = {attr: _check_int64(key, kind[key]) for key, attr in fields.items()}
+            _check_record(name, kind, {"name", *keys})
+            for key in keys:
+                _check_int64(key, kind[key])
+            if kind.get("base_genus", 0) < 0:
+                raise InvalidClassError("base_genus must be nonnegative")
             kind = name
         # Required and type-checked by schema 1, though no rule reads it.
         _check_bool("kaehler_b2plus_gt1", data["kaehler_b2plus_gt1"])
-        return cls(kind=kind, stein=_check_bool("stein", data["stein"]), **extra)
+        return cls(kind=kind, stein=_check_bool("stein", data["stein"]))
 
 
-# JSON key -> attribute, for the kinds written as {"name": ..., ...}.
+# The keys of the kinds written as {"name": ..., ...}.
 _KIND_FIELDS = {
-    KIND_LINE_BUNDLE: {"base_genus": "base_genus", "degree": "bundle_degree"},
-    KIND_ABSTRACT: {"normal_euler": "normal_euler", "c1_pairing": "c1_pairing"},
+    KIND_LINE_BUNDLE: ("base_genus", "degree"),
+    KIND_ABSTRACT: ("normal_euler", "c1_pairing"),
 }
 
 

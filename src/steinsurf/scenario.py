@@ -20,7 +20,9 @@ A scenario is a JSON document with a versioned schema:
 Structural problems (bad schema version, unresolved names, malformed
 classes, a wrong-typed or unknown field) raise ScenarioError; a
 ``verify-local`` task takes the parameters its suite runner declares as
-keywords.  Failures discovered while running a task
+keywords.  A parsed task is its label plus its runner, a call with the
+task's surfaces, ambients, target, recipe or suite parameters bound.
+Failures discovered while running a task
 are recorded in the report and fail that task.  Reports are
 deterministic: identical scenarios produce byte-identical JSON, with
 wall-clock timing only in the text emitter or behind an explicit flag.
@@ -28,12 +30,13 @@ wall-clock timing only in the text emitter or behind an explicit flag.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -127,36 +130,11 @@ _TASK_ERRORS = (
 
 
 @dataclass(frozen=True)
-class CheckTask:
-    surface: str
-    ambient: str | None = None
-    variant: str | None = None
-    class_nonzero: bool = True
-
-
-@dataclass(frozen=True)
-class PlanTask:
-    target: PlanTarget
-
-
-@dataclass(frozen=True)
-class ReplayTask:
-    base: ImmersionClass
-    steps: tuple[SurgeryStep, ...]
-    expected: ImmersionClass | None = None
-
-
-@dataclass(frozen=True)
-class VerifyLocalTask:
-    suite: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Scenario:
-    surfaces: dict[str, ImmersionClass]
-    ambients: dict[str, AmbientDescriptor]
-    tasks: tuple[Any, ...]
+    """The parsed tasks, in order: each a label and a runner returning
+    (passed, details)."""
+
+    tasks: tuple[tuple[str, Any], ...]
 
 
 @dataclass(frozen=True)
@@ -257,7 +235,8 @@ _TASK_FIELDS = {
 }
 
 
-def _parse_task(data: Any, surfaces: dict, ambients: dict):
+def _parse_task(data: Any, surfaces: dict, ambients: dict) -> tuple[str, Any]:
+    """The task's label and its runner."""
     _require(isinstance(data, dict), "must be an object")
     kind = data.get("task")
     _require(_one_of(kind, _TASK_FIELDS), f"unknown task kind {kind!r}")
@@ -273,23 +252,26 @@ def _parse_task(data: Any, surfaces: dict, ambients: dict):
             f"unknown adjunction variant {variant!r}",
         )
         class_nonzero = _check_bool("class_nonzero", data.get("class_nonzero", True))
-        return CheckTask(name, ambient, variant, class_nonzero)
+        descriptor = None if ambient is None else ambients[ambient]
+        return f"check:{name}", functools.partial(
+            _run_check, name, surfaces[name], variant, ambient, descriptor, class_nonzero)
     if kind == TASK_PLAN:
         target = _check_record("plan target", data["target"], {"orientable", "genus"},
                                {"delta_plus", "degree"}, ScenarioError)
         degree = target.get("degree")
-        return PlanTask(PlanTarget(
+        return "plan", functools.partial(_run_plan, PlanTarget(
             orientable=_check_bool("orientable", target["orientable"]),
             genus=_check_int64("genus", target["genus"]),
             delta_plus=_check_int64("delta_plus", target.get("delta_plus", 0)),
             degree=None if degree is None else _check_int64("degree", degree),
         ))
     if kind == TASK_REPLAY:
-        return ReplayTask(*read_recipe(data["recipe"]))
+        return "replay", functools.partial(_run_replay, *read_recipe(data["recipe"]))
     suite = data["suite"]
     _require(_one_of(suite, _SUITE_RUNNERS),
              f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return VerifyLocalTask(suite, _parse_params(suite, data.get("params", {})))
+    params = _parse_params(suite, data.get("params", {}))
+    return f"verify-local:{suite}", functools.partial(_run_verify_local, suite, params)
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
@@ -314,7 +296,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             tasks.append(_parse_task(raw, surfaces, ambients))
         except (ScenarioError, InvalidClassError, SurgeryError) as exc:
             raise ScenarioError(f"task {index}: {exc}") from exc
-    return Scenario(surfaces, ambients, tuple(tasks))
+    return Scenario(tuple(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +304,9 @@ def load_scenario(source: str | Path | dict) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _run_check(task: CheckTask, scenario: Scenario) -> tuple[bool, dict]:
-    imm = scenario.surfaces[task.surface]
-    details: dict = {"surface": task.surface}
+def _run_check(name: str, imm: ImmersionClass, variant: str | None, ambient: str | None,
+               descriptor: AmbientDescriptor | None, class_nonzero: bool) -> tuple[bool, dict]:
+    details: dict = {"surface": name}
     cert_valid = validate(imm)
     details["valid"] = cert_valid.to_json()
     passed = cert_valid.passed
@@ -335,22 +317,21 @@ def _run_check(task: CheckTask, scenario: Scenario) -> tuple[bool, dict]:
             "positive": report.positive,
             "negative": report.negative,
         }
-    if task.variant is not None:
-        details["variant"] = task.variant
-        cert = check_adjunction(imm, task.variant)
+    if variant is not None:
+        details["variant"] = variant
+        cert = check_adjunction(imm, variant)
     else:
         cert = stein_condition(imm)
     details["certificate"] = cert.to_json()
     passed = passed and cert.passed
-    if task.ambient is not None:
-        details["ambient"] = task.ambient
-        v = verdict(imm, scenario.ambients[task.ambient], task.class_nonzero)
+    if ambient is not None:
+        details["ambient"] = ambient
+        v = verdict(imm, descriptor, class_nonzero)
         details["verdict"] = v.to_json()
     return passed, details
 
 
-def _run_plan(task: PlanTask) -> tuple[bool, dict]:
-    t = task.target
+def _run_plan(t: PlanTarget) -> tuple[bool, dict]:
     details: dict = {
         "target": {
             "orientable": t.orientable,
@@ -371,10 +352,11 @@ def _run_plan(task: PlanTask) -> tuple[bool, dict]:
     return cert.passed, details
 
 
-def _run_replay(task: ReplayTask) -> tuple[bool, dict]:
+def _run_replay(base: ImmersionClass, steps: tuple[SurgeryStep, ...],
+                expected: ImmersionClass | None) -> tuple[bool, dict]:
     details: dict = {}
     try:
-        result, trace = replay_trace(task.base, task.steps)
+        result, trace = replay_trace(base, steps)
     except SurgeryError as exc:
         details["error"] = str(exc)
         if exc.position is not None:
@@ -382,8 +364,8 @@ def _run_replay(task: ReplayTask) -> tuple[bool, dict]:
         return False, details
     details["result"] = result.to_json()
     details["trace"] = trace
-    if task.expected is not None:
-        match = result == task.expected
+    if expected is not None:
+        match = result == expected
         details["expected_match"] = match
         return match, details
     return True, details
@@ -574,16 +556,16 @@ _SUITE_RUNNERS = {
 }
 
 
-def _run_verify_local(task: VerifyLocalTask) -> tuple[bool, dict]:
-    for name, value in task.params.items():
+def _run_verify_local(suite: str, params: dict) -> tuple[bool, dict]:
+    for name, value in params.items():
         if not math.isfinite(value):
             raise GeometryError(
                 f"{name.replace('_', ' ')} must be finite, got {value} "
-                f"({task.suite} parameter {name!r})"
+                f"({suite} parameter {name!r})"
             )
-    checks = _SUITE_RUNNERS[task.suite](**task.params)
+    checks = _SUITE_RUNNERS[suite](**params)
     passed = all(c["pass"] for c in checks)
-    return passed, {"suite": task.suite, "checks": checks}
+    return passed, {"suite": suite, "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -591,36 +573,16 @@ def _run_verify_local(task: VerifyLocalTask) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _label(index: int, task) -> str:
-    if isinstance(task, CheckTask):
-        return f"{index}:check:{task.surface}"
-    if isinstance(task, PlanTask):
-        return f"{index}:plan"
-    if isinstance(task, ReplayTask):
-        return f"{index}:replay"
-    return f"{index}:verify-local:{task.suite}"
-
-
-def _execute(task, scenario: Scenario) -> tuple[bool, dict]:
-    if isinstance(task, CheckTask):
-        return _run_check(task, scenario)
-    if isinstance(task, PlanTask):
-        return _run_plan(task)
-    if isinstance(task, ReplayTask):
-        return _run_replay(task)
-    return _run_verify_local(task)
-
-
 def run_tasks(scenario: Scenario) -> Report:
     results = []
-    for i, task in enumerate(scenario.tasks):
+    for i, (label, runner) in enumerate(scenario.tasks):
         started = time.perf_counter()
         try:
-            passed, details = _execute(task, scenario)
+            passed, details = runner()
         except _TASK_ERRORS as exc:
             passed, details = False, {"error": str(exc)}
         results.append(
-            TaskResult(_label(i, task), passed, details, time.perf_counter() - started)
+            TaskResult(f"{i}:{label}", passed, details, time.perf_counter() - started)
         )
     return Report(tuple(results))
 

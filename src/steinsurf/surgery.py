@@ -28,11 +28,9 @@ with a projective plane has 2g+1 cross-caps.  Recipes bundle a base class
 with an ordered step list and are validated by replay, so a stored
 recipe is guaranteed to reproduce its expected result.
 
-A replay applies a run of n equal consecutive steps as its first step
-and one translation by n - 1 times that step's vector: every check a
-step makes is an interval condition on a value linear in the step's
-index, so the checks of the first and the last step stand for the whole
-run.  Validating a recipe, a plan's included, thus costs O(runs) step
+A replay applies a run of n equal consecutive steps as one translation
+by n times that step's vector, checked once (:func:`_apply_step`).
+Validating a recipe, a plan's included, thus costs O(runs) step
 applications; its steps and a replay's trace remain O(steps) output.
 """
 
@@ -160,13 +158,6 @@ class NormalForm:
     special_hyperbolic_pos: int
     special_hyperbolic_neg: int
 
-    def to_json(self) -> dict:
-        return {
-            "special_elliptic": self.special_elliptic,
-            "special_hyperbolic_pos": self.special_hyperbolic_pos,
-            "special_hyperbolic_neg": self.special_hyperbolic_neg,
-        }
-
 
 def normalize_complex_points(imm: ImmersionClass) -> NormalForm:
     """Minimal complex point counts realizable after isotopy.
@@ -250,11 +241,25 @@ def _genus(chi: int, orientable: bool) -> int:
     return (2 - chi) // 2 if orientable else 2 - chi
 
 
-def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass, str | None]:
-    """Apply one step, returning the new class and an optional annotation."""
+def _apply_step(imm: ImmersionClass, step: SurgeryStep,
+                count: int = 1) -> tuple[ImmersionClass, tuple[int, ...], str | None]:
+    """The class ``count`` equal steps take ``imm`` to, the translation
+    ``vector`` of (chi, e, c1, delta_plus, delta_minus) each step adds,
+    and the step's annotation.
+
+    Every step of the run adds ``vector`` and yields the same
+    orientability, so each value a step checks is linear in the step's
+    index k (the genus too: chi stays even on orientable results), and
+    each check asks that value to lie in an interval: the input's chi in
+    int64, the output's genus, integers and double point counts in range.
+    At k = 0 the outputs read as ``imm``'s own values, which pass (a base
+    the run makes unorientable reads genus 2g there, and its cross-caps
+    only grow), so the checks of the last step's input and output, run
+    here once, stand for those of every step of the run.
+    """
     if step.kind == STEP_NORMALIZE:
         form = normalize_complex_points(imm)
-        return imm, (
+        return imm, (0, 0, 0, 0, 0), (
             "normal form: "
             f"{form.special_elliptic} elliptic, "
             f"{form.special_hyperbolic_pos}+{form.special_hyperbolic_neg} hyperbolic"
@@ -264,75 +269,40 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep) -> tuple[ImmersionClass,
     if step.kind == STEP_CONNECTED_SUM and odd_parity(step.other):
         raise InvalidClassError(PARITY_VIOLATION)
     move = _sum_move(step.other) if step.kind == STEP_CONNECTED_SUM else _MOVES[step.kind]
-    (chi, e, c1, dp, dm), keeps_orientable, note = move
-    dp += imm.delta_plus
-    dm += imm.delta_minus
+    vector, keeps_orientable, note = move
+    d_chi, e, c1, dp, dm = vector
+    dp = imm.delta_plus + count * dp
+    dm = imm.delta_minus + count * dm
     if dp < 0:
         raise SurgeryError("no positive double point to resolve")
     if dm < 0:
         raise SurgeryError("no negative double point to resolve")
-    chi += imm.euler_char
+    chi = imm.euler_char
+    _check_int64("euler_char", chi + (count - 1) * d_chi)  # the last step's input
     orientable = imm.orientable and keeps_orientable
-    topology = SurfaceTopology(_genus(chi, orientable), orientable)
-    return ImmersionClass(topology, imm.normal_euler + e, imm.c1_pairing + c1, dp, dm), note
+    topology = SurfaceTopology(_genus(chi + count * d_chi, orientable), orientable)
+    end = ImmersionClass(topology, imm.normal_euler + count * e, imm.c1_pairing + count * c1, dp, dm)
+    return end, vector, note
 
 
-def _step(imm: ImmersionClass, step: SurgeryStep, position: int) -> tuple[ImmersionClass, str | None]:
-    """:func:`_apply_step`, with a failure reported at ``position``."""
-    try:
-        return _apply_step(imm, step)
-    except (SurgeryError, InvalidClassError) as exc:
-        raise SurgeryError(
-            f"step {position} ({step.kind}) failed: {exc}", position=position
-        ) from exc
-
-
-def _run_end(before: ImmersionClass, first: ImmersionClass, count: int) -> ImmersionClass | None:
-    """The class after ``count`` equal steps, the first of which took
-    ``before`` to ``first``; None when a later one of them fails.
-
-    Every step of the run adds first - before to (chi, e, c1, delta_plus,
-    delta_minus) and keeps the orientability of ``first``, so each value a
-    step checks is linear in the step's index (the genus too: chi stays
-    even on orientable classes), and each check asks that value to lie in
-    an interval: the input's chi in int64, the output's genus, integers
-    and double point counts in range.  A check that holds at the first and
-    the last step holds at every step between, so the last step's checks,
-    run here once, stand for those of the whole run.
-    """
-    try:
-        chi = before.euler_char
-        d_chi = first.euler_char - chi
-        _check_int64("euler_char", chi + (count - 1) * d_chi)  # the last step's input
-        return ImmersionClass(
-            SurfaceTopology(_genus(chi + count * d_chi, first.orientable), first.orientable),
-            before.normal_euler + count * (first.normal_euler - before.normal_euler),
-            before.c1_pairing + count * (first.c1_pairing - before.c1_pairing),
-            before.delta_plus + count * (first.delta_plus - before.delta_plus),
-            before.delta_minus + count * (first.delta_minus - before.delta_minus),
-        )
-    except InvalidClassError:
-        return None
-
-
-def _run_trace(position: int, kind: str, note: str | None, first: ImmersionClass,
-               last: ImmersionClass, count: int) -> list[dict]:
-    """Trace entries of the steps after the first in a run of ``count``
-    equal steps from ``position`` on: the results step evenly from
-    ``first`` to ``last``, each equal to the ``to_json()`` of the class
-    that step reaches."""
-    orientable, span = first.orientable, count - 1
-    g, e, c = first.genus, first.normal_euler, first.c1_pairing
-    p, m = first.delta_plus, first.delta_minus
-    dg, de, dc = (last.genus - g) // span, (last.normal_euler - e) // span, (last.c1_pairing - c) // span
-    dp, dm = (last.delta_plus - p) // span, (last.delta_minus - m) // span
-    entries = [{"position": position + k, "kind": kind, "result": {
-        "topology": {"genus": g + k * dg, "orientable": orientable},
-        "normal_euler": e + k * de,
-        "c1_pairing": c + k * dc,
-        "delta_plus": p + k * dp,
-        "delta_minus": m + k * dm,
-    }} for k in range(1, count)]
+def _run_trace(position: int, kind: str, note: str | None, last: ImmersionClass,
+               vector: tuple[int, ...], count: int) -> list[dict]:
+    """Trace entries of all but the last of ``count`` equal steps from
+    ``position`` on: the class a step ``back`` steps before the last
+    reaches is ``last`` less ``back`` times the run's translation
+    ``vector``, each entry equal to the ``to_json()`` of that class."""
+    d_chi, de, dc, dp, dm = vector
+    orientable = last.orientable
+    dg = -d_chi // 2 if orientable else -d_chi
+    g, e, c = last.genus, last.normal_euler, last.c1_pairing
+    p, m = last.delta_plus, last.delta_minus
+    entries = [{"position": position + count - 1 - back, "kind": kind, "result": {
+        "topology": {"genus": g - back * dg, "orientable": orientable},
+        "normal_euler": e - back * de,
+        "c1_pairing": c - back * dc,
+        "delta_plus": p - back * dp,
+        "delta_minus": m - back * dm,
+    }} for back in range(count - 1, 0, -1)]
     if note is not None:
         for entry in entries:
             entry["annotation"] = note
@@ -355,10 +325,9 @@ def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | No
     """The one replay loop: :func:`replay` with one entry per step appended
     to ``trace`` unless it is None.
 
-    The first step of a run of equal steps goes through
-    :func:`_apply_step` and the rest are one translation
-    (:func:`_run_end`); only when that fails are they applied one by one,
-    to find the step that fails and its message."""
+    Each run of equal steps is one :func:`_apply_step` call; only when it
+    fails is the run walked one step at a time from its first step, to
+    find the step that fails and its message."""
     try:
         if odd_parity(base):
             raise InvalidClassError(PARITY_VIOLATION)
@@ -366,19 +335,22 @@ def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | No
         raise SurgeryError(f"base class failed: {exc}", position=0) from exc
     current, position = base, 1
     for step, count in _runs(steps):
-        first, note = _step(current, step, position)
-        last = first if count == 1 else _run_end(current, first, count)
-        if last is None:
-            last = first
-            for later in range(position + 1, position + count):
-                last, _ = _step(last, step, later)  # raises at the failing step
+        try:
+            last, vector, note = _apply_step(current, step, count)
+        except (SurgeryError, InvalidClassError):
+            last = current
+            for k in range(position, position + count):
+                try:
+                    last, vector, note = _apply_step(last, step)
+                except (SurgeryError, InvalidClassError) as exc:
+                    raise SurgeryError(f"step {k} ({step.kind}) failed: {exc}", position=k) from exc
         if trace is not None:
-            entry = {"position": position, "kind": step.kind, "result": first.to_json()}
+            if count > 1:
+                trace += _run_trace(position, step.kind, note, last, vector, count)
+            entry = {"position": position + count - 1, "kind": step.kind, "result": last.to_json()}
             if note is not None:
                 entry["annotation"] = note
             trace.append(entry)
-            if count > 1:
-                trace += _run_trace(position, step.kind, note, first, last, count)
         current, position = last, position + count
     return current
 

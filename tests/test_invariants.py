@@ -35,9 +35,8 @@ C2 = AmbientDescriptor(inv.KIND_AFFINE_PLANE, stein=True)
 CP2 = AmbientDescriptor(inv.KIND_PROJECTIVE_PLANE, stein=False)
 
 
-def _abstract(normal_euler, c1_pairing, stein):
-    return AmbientDescriptor(inv.KIND_ABSTRACT, stein=stein,
-                             normal_euler=normal_euler, c1_pairing=c1_pairing)
+def _abstract(stein):
+    return AmbientDescriptor(inv.KIND_ABSTRACT, stein=stein)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +268,6 @@ def test_ambient_validation():
     with pytest.raises(InvalidClassError):
         AmbientDescriptor(inv.KIND_AFFINE_PLANE, stein=False)
     with pytest.raises(InvalidClassError):
-        AmbientDescriptor(inv.KIND_LINE_BUNDLE, stein=False)
-    with pytest.raises(InvalidClassError):
-        AmbientDescriptor(inv.KIND_ABSTRACT, stein=False)
-    with pytest.raises(InvalidClassError):
         AmbientDescriptor("Oddball", stein=False)
 
 
@@ -284,14 +279,24 @@ def test_ambient_from_json():
         ({"kind": "Quadric", **flags}, AmbientDescriptor(inv.KIND_QUADRIC, stein=False)),
         ({"kind": {"name": "LineBundle", "base_genus": 1, "degree": -3},
           "stein": True, "kaehler_b2plus_gt1": False},
-         AmbientDescriptor(inv.KIND_LINE_BUNDLE, stein=True, base_genus=1, bundle_degree=-3)),
+         AmbientDescriptor(inv.KIND_LINE_BUNDLE, stein=True)),
         ({"kind": {"name": "Abstract", "normal_euler": 2, "c1_pairing": 4},
           "stein": False, "kaehler_b2plus_gt1": True},
-         AmbientDescriptor(inv.KIND_ABSTRACT, stein=False, normal_euler=2, c1_pairing=4)),
+         _abstract(stein=False)),
     ):
         assert AmbientDescriptor.from_json(record) == amb
     with pytest.raises(InvalidClassError):
         AmbientDescriptor.from_json({"kind": "AffinePlane"})
+    # Each kind's keys are still required, int64, and a base genus is nonnegative.
+    for kind, message in (
+        ({"name": "LineBundle", "base_genus": 1}, r"missing \['degree'\]"),
+        ({"name": "LineBundle", "base_genus": -1, "degree": 0}, "base_genus must be nonnegative"),
+        ({"name": "LineBundle", "base_genus": 1, "degree": "2"}, "degree must be an integer"),
+        ({"name": "Abstract", "normal_euler": 2}, r"missing \['c1_pairing'\]"),
+        ({"name": "Abstract", "normal_euler": 2, "c1_pairing": 2**63}, "c1_pairing out of"),
+    ):
+        with pytest.raises(InvalidClassError, match=message):
+            AmbientDescriptor.from_json({"kind": kind, **flags})
     # The flag no rule reads is still required, and still a bool.
     with pytest.raises(InvalidClassError):
         AmbientDescriptor.from_json({"kind": "ProjectivePlane", "stein": False})
@@ -359,7 +364,7 @@ def test_verdict_projective_inconsistent_pairings():
 
 def test_verdict_stein_ambient_obstruction():
     sphere = oriented_class(0)  # indices +1/+1, embedded, fails genus bound
-    stein_ambient = _abstract(0, 0, stein=True)
+    stein_ambient = _abstract(stein=True)
     v = verdict(sphere, stein_ambient, class_nonzero=True)
     assert v.outcome == inv.OUTCOME_NO_STEIN
     assert v.rule == RULE_STEIN_AMBIENT_EMBEDDED
@@ -367,7 +372,7 @@ def test_verdict_stein_ambient_obstruction():
 
 def test_verdict_null_class_unresolved():
     sphere = oriented_class(0)
-    stein_ambient = _abstract(0, 0, stein=True)
+    stein_ambient = _abstract(stein=True)
     v = verdict(sphere, stein_ambient, class_nonzero=False)
     assert v.outcome == inv.OUTCOME_INCONCLUSIVE
     assert v.rule == RULE_NULL_CLASS_UNRESOLVED
@@ -386,7 +391,7 @@ def test_verdict_gray_area():
     imm = oriented_class(0, normal_euler=-2, c1_pairing=2, delta_minus=1)
     assert not stein_condition(imm).passed
     assert check_adjunction(imm, inv.VARIANT_IMMERSED_NECESSARY).passed
-    v = verdict(imm, _abstract(-2, 2, stein=True), class_nonzero=True)
+    v = verdict(imm, _abstract(stein=True), class_nonzero=True)
     assert v.outcome == inv.OUTCOME_INCONCLUSIVE
     assert v.rule == RULE_GRAY_AREA
 

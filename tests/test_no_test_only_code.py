@@ -6,8 +6,10 @@ and annotated fields, such as dataclass fields, of those classes; dunder
 names left out) and every name the package
 ``__init__`` files re-export must be read somewhere in ``src/`` or
 ``bench/``: as a loaded name or an attribute, which leaves out
-its own ``def``/``class``/assignment and the import lines that re-export
-it.  Tests do not count.  The few names kept for callers outside the
+its own ``def``/``class``/assignment, the import lines that re-export
+it and the ``self.<name>`` reads in its class's own ``__post_init__``
+(a field only its own validation reads is a field nothing reads).
+Tests do not count.  The few names kept for callers outside the
 package are listed in ``ALLOWED`` with the reason.
 """
 
@@ -66,13 +68,28 @@ def _checked_names():
     return names
 
 
+def _post_init_self_reads(tree):
+    """The ``self.<name>`` nodes inside every class's own ``__post_init__``."""
+    return {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
 def _read_names():
     read = set()
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
-        for node in ast.walk(_tree(path)):
+        tree = _tree(path)
+        skipped = _post_init_self_reads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and id(node) not in skipped:
                 read.add(node.attr)
     return read
 

@@ -109,7 +109,7 @@ def test_load_from_files(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(torus_check_scenario()))
     scenario = load_scenario(path)
-    assert set(scenario.surfaces) == {"torus"}
+    assert [label for label, _ in scenario.tasks] == ["check:torus"]
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "missing.json")
     broken = tmp_path / "broken.json"

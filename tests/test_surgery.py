@@ -238,11 +238,8 @@ def test_resolution_preconditions():
 def test_normalize_examples():
     # Degree-1 curve: 3 positive elliptic points survive.
     form = normalize_complex_points(cp2_curve_class(1))
-    assert form.to_json() == {
-        "special_elliptic": 3,
-        "special_hyperbolic_pos": 0,
-        "special_hyperbolic_neg": 0,
-    }
+    assert (form.special_elliptic, form.special_hyperbolic_pos,
+            form.special_hyperbolic_neg) == (3, 0, 0)
     # Planned genus-3 degree-1 class: indices 0 and -3.
     imm = oriented_class(3, normal_euler=1, c1_pairing=3)
     form = normalize_complex_points(imm)
@@ -338,13 +335,16 @@ def test_replay_refuses_a_base_that_fails_the_parity_check():
 
 def test_connected_sum_refuses_a_class_that_fails_the_parity_check():
     odd = oriented_class(0, normal_euler=1)
-    steps = [SurgeryStep(sg.STEP_ATTACH_TORUS), SurgeryStep(sg.STEP_CONNECTED_SUM, odd)]
-    for run in (replay, replay_trace):
-        with pytest.raises(SurgeryError) as exc:
-            run(oriented_class(1), steps)
-        assert exc.value.position == 2
-        assert str(exc.value) == f"step 2 (ConnectedSum) failed: {PARITY}"
-        assert isinstance(exc.value.__cause__, InvalidClassError)
+    torus = SurgeryStep(sg.STEP_ATTACH_TORUS)
+    # One ConnectedSum, then a run of three equal ones: the run fails at its first step.
+    for steps in ([torus, SurgeryStep(sg.STEP_CONNECTED_SUM, odd)],
+                  [torus] + [SurgeryStep(sg.STEP_CONNECTED_SUM, odd)] * 3):
+        for run in (replay, replay_trace):
+            with pytest.raises(SurgeryError) as exc:
+                run(oriented_class(1), steps)
+            assert exc.value.position == 2
+            assert str(exc.value) == f"step 2 (ConnectedSum) failed: {PARITY}"
+            assert isinstance(exc.value.__cause__, InvalidClassError)
     # An unorientable summand carries no index split, so no parity check.
     assert replay(oriented_class(1), [SurgeryStep(sg.STEP_CONNECTED_SUM,
                                                   unoriented_class(1, normal_euler=1))])
@@ -620,6 +620,10 @@ def _run(kind, count):
 # the output of a last step is not checked, so five tori pass.
 @example(oriented_class(2**62 - 3), _run(sg.STEP_ATTACH_TORUS, 10))
 @example(oriented_class(2**62 - 3), _run(sg.STEP_ATTACH_TORUS, 5))
+# Runs that fail at their first step: a Weinstein sphere on an
+# unorientable base, a positive double point where there is none.
+@example(unoriented_class(2), _run(sg.STEP_ATTACH_WEINSTEIN, 5))
+@example(oriented_class(2), _run(sg.STEP_RESOLVE_POS_HANDLE, 5))
 def test_runs_of_equal_steps_match_the_per_move_formulas(base, steps):
     """A run of equal steps, replayed as its first step and one
     translation, gives the same class, trace, message and position as
@@ -772,9 +776,9 @@ def test_plan_applies_one_step_per_run(monkeypatch, target):
     calls = []
     apply_step = sg._apply_step
 
-    def counting(imm, step):
+    def counting(imm, step, *rest):
         calls.append(step.kind)
-        return apply_step(imm, step)
+        return apply_step(imm, step, *rest)
 
     monkeypatch.setattr(sg, "_apply_step", counting)
     recipe = plan_cp2(target)
