@@ -439,9 +439,11 @@ class AmbientDescriptor:
             _check_record(name, kind, {"name", *keys})
             for key in keys:
                 _check_int64(key, kind[key])
-            if kind.get("base_genus", 0) < 0:
+            if name == KIND_LINE_BUNDLE and kind["base_genus"] < 0:
                 raise InvalidClassError("base_genus must be nonnegative")
             kind = name
+        elif kind in _KIND_FIELDS:
+            raise InvalidClassError(f"{kind} ambient needs {' and '.join(_KIND_FIELDS[kind])}")
         # Required and type-checked by schema 1, though no rule reads it.
         _check_bool("kaehler_b2plus_gt1", data["kaehler_b2plus_gt1"])
         return cls(kind=kind, stein=_check_bool("stein", data["stein"]))

@@ -252,10 +252,14 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep,
     index k (the genus too: chi stays even on orientable results), and
     each check asks that value to lie in an interval: the input's chi in
     int64, the output's genus, integers and double point counts in range.
-    At k = 0 the outputs read as ``imm``'s own values, which pass (a base
-    the run makes unorientable reads genus 2g there, and its cross-caps
-    only grow), so the checks of the last step's input and output, run
-    here once, stand for those of every step of the run.
+    A linear value inside an interval at both ends of a range of k is
+    inside it throughout.  At k = 0 the outputs read as ``imm``'s own
+    values, which pass, except the genus of a run that makes an
+    orientable base unorientable (it reads 2g there).  Such a move has
+    d_chi <= -1, so the cross-caps 2 - chi - k d_chi grow with k and
+    are at least 1 from k = 1 on (chi <= 2): only their upper bound is
+    checked, at the last step.  So the checks of the last step's input
+    and output, run here once, stand for those of every step of the run.
     """
     if step.kind == STEP_NORMALIZE:
         form = normalize_complex_points(imm)

@@ -287,13 +287,16 @@ def test_ambient_from_json():
         assert AmbientDescriptor.from_json(record) == amb
     with pytest.raises(InvalidClassError):
         AmbientDescriptor.from_json({"kind": "AffinePlane"})
-    # Each kind's keys are still required, int64, and a base genus is nonnegative.
+    # Each kind's keys are still required, also for a bare name, int64,
+    # and a base genus is nonnegative.
     for kind, message in (
         ({"name": "LineBundle", "base_genus": 1}, r"missing \['degree'\]"),
         ({"name": "LineBundle", "base_genus": -1, "degree": 0}, "base_genus must be nonnegative"),
         ({"name": "LineBundle", "base_genus": 1, "degree": "2"}, "degree must be an integer"),
         ({"name": "Abstract", "normal_euler": 2}, r"missing \['c1_pairing'\]"),
         ({"name": "Abstract", "normal_euler": 2, "c1_pairing": 2**63}, "c1_pairing out of"),
+        ("LineBundle", "LineBundle ambient needs base_genus and degree"),
+        ("Abstract", "Abstract ambient needs normal_euler and c1_pairing"),
     ):
         with pytest.raises(InvalidClassError, match=message):
             AmbientDescriptor.from_json({"kind": kind, **flags})

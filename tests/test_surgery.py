@@ -624,9 +624,11 @@ def _run(kind, count):
 # unorientable base, a positive double point where there is none.
 @example(unoriented_class(2), _run(sg.STEP_ATTACH_WEINSTEIN, 5))
 @example(oriented_class(2), _run(sg.STEP_RESOLVE_POS_HANDLE, 5))
+# A sphere made unorientable: genus 0 would fail the cross-cap check.
+@example(oriented_class(0), _run(sg.STEP_ATTACH_RP2, 5))
 def test_runs_of_equal_steps_match_the_per_move_formulas(base, steps):
-    """A run of equal steps, replayed as its first step and one
-    translation, gives the same class, trace, message and position as
+    """A run of equal steps, replayed as one ``_apply_step(imm, step,
+    count)`` call, gives the same class, trace, message and position as
     the per-move formulas applied one step at a time, including runs that
     fail part-way through."""
     final, trace, error, position = _ref_replay_trace(base, steps)
