@@ -32,7 +32,6 @@ from .invariants import (
     AmbientDescriptor,
     ImmersionClass,
     IndexReport,
-    SurfaceTopology,
     Verdict,
     adjunction_rhs,
     check_adjunction,

@@ -129,44 +129,11 @@ def _check_record(name: str, data: dict, required: set, optional: set = frozense
 
 
 @dataclass(frozen=True)
-class SurfaceTopology:
-    """Topological type of a closed connected real surface.
-
-    For orientable surfaces ``genus`` counts handles; for unorientable
-    surfaces it counts cross-caps.  A closed unorientable surface has at
-    least one cross-cap, so ``genus >= 1`` is required in that case.
-    """
-
-    genus: int
-    orientable: bool
-
-    def __post_init__(self):
-        _check_int64("genus", self.genus)
-        if self.genus < 0:
-            raise InvalidClassError(f"genus must be nonnegative, got {self.genus}")
-        if not self.orientable and self.genus == 0:
-            raise InvalidClassError(
-                "an unorientable surface has at least one cross-cap (genus >= 1)"
-            )
-
-    def to_json(self) -> dict:
-        return {"genus": self.genus, "orientable": self.orientable}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SurfaceTopology":
-        _check_record("topology", data, {"genus", "orientable"})
-        return cls(data["genus"], _check_bool("orientable", data["orientable"]))
-
-
-def euler_char(top: SurfaceTopology) -> int:
-    """Euler characteristic: 2 - 2g orientable, 2 - g unorientable."""
-    return _check_int64("euler_char", 2 - 2 * top.genus if top.orientable else 2 - top.genus)
-
-
-@dataclass(frozen=True)
 class ImmersionClass:
     """Invariant data of a generically immersed closed surface.
 
+    For orientable surfaces ``genus`` counts handles; for unorientable
+    surfaces it counts cross-caps, of which a closed one has at least one.
     ``normal_euler`` is the Euler number of the normal bundle of the
     immersion itself and ``delta_plus``/``delta_minus`` count transverse
     double points by sign.  The self-intersection number of the image
@@ -176,13 +143,21 @@ class ImmersionClass:
     used and the field is conventionally zero.
     """
 
-    topology: SurfaceTopology
+    genus: int
+    orientable: bool
     normal_euler: int
     c1_pairing: int
     delta_plus: int
     delta_minus: int
 
     def __post_init__(self):
+        _check_int64("genus", self.genus)
+        if self.genus < 0:
+            raise InvalidClassError(f"genus must be nonnegative, got {self.genus}")
+        if not self.orientable and self.genus == 0:
+            raise InvalidClassError(
+                "an unorientable surface has at least one cross-cap (genus >= 1)"
+            )
         for name in ("normal_euler", "c1_pairing", "delta_plus", "delta_minus"):
             _check_int64(name, getattr(self, name))
         if self.delta_plus < 0 or self.delta_minus < 0:
@@ -191,16 +166,9 @@ class ImmersionClass:
     # -- convenience views -------------------------------------------------
 
     @property
-    def genus(self) -> int:
-        return self.topology.genus
-
-    @property
-    def orientable(self) -> bool:
-        return self.topology.orientable
-
-    @property
     def euler_char(self) -> int:
-        return euler_char(self.topology)
+        """Euler characteristic: 2 - 2g orientable, 2 - g unorientable."""
+        return _check_int64("euler_char", 2 - 2 * self.genus if self.orientable else 2 - self.genus)
 
     @property
     def delta(self) -> int:
@@ -220,7 +188,7 @@ class ImmersionClass:
 
     def to_json(self) -> dict:
         return {
-            "topology": self.topology.to_json(),
+            "topology": {"genus": self.genus, "orientable": self.orientable},
             "normal_euler": self.normal_euler,
             "c1_pairing": self.c1_pairing,
             "delta_plus": self.delta_plus,
@@ -229,11 +197,13 @@ class ImmersionClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "ImmersionClass":
-        # __post_init__ reads the four integers through _check_int64.
+        # __post_init__ reads the genus and the four integers through _check_int64.
         _check_record("immersion class", data,
                       {"topology", "normal_euler", "c1_pairing", "delta_plus", "delta_minus"})
+        topology = _check_record("topology", data["topology"], {"genus", "orientable"})
         return cls(
-            topology=SurfaceTopology.from_json(data["topology"]),
+            genus=topology["genus"],
+            orientable=_check_bool("orientable", topology["orientable"]),
             normal_euler=data["normal_euler"],
             c1_pairing=data["c1_pairing"],
             delta_plus=data["delta_plus"],
@@ -249,9 +219,7 @@ def oriented_class(
     delta_minus: int = 0,
 ) -> ImmersionClass:
     """Shorthand constructor for orientable classes."""
-    return ImmersionClass(
-        SurfaceTopology(genus, True), normal_euler, c1_pairing, delta_plus, delta_minus
-    )
+    return ImmersionClass(genus, True, normal_euler, c1_pairing, delta_plus, delta_minus)
 
 
 def unoriented_class(
@@ -261,9 +229,7 @@ def unoriented_class(
     delta_minus: int = 0,
 ) -> ImmersionClass:
     """Shorthand constructor for unorientable classes (zero Chern pairing)."""
-    return ImmersionClass(
-        SurfaceTopology(genus, False), normal_euler, 0, delta_plus, delta_minus
-    )
+    return ImmersionClass(genus, False, normal_euler, 0, delta_plus, delta_minus)
 
 
 @dataclass(frozen=True)
@@ -442,7 +408,7 @@ class AmbientDescriptor:
             if name == KIND_LINE_BUNDLE and kind["base_genus"] < 0:
                 raise InvalidClassError("base_genus must be nonnegative")
             kind = name
-        elif kind in _KIND_FIELDS:
+        elif isinstance(kind, str) and kind in _KIND_FIELDS:
             raise InvalidClassError(f"{kind} ambient needs {' and '.join(_KIND_FIELDS[kind])}")
         # Required and type-checked by schema 1, though no rule reads it.
         _check_bool("kaehler_b2plus_gt1", data["kaehler_b2plus_gt1"])

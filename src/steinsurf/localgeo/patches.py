@@ -467,31 +467,24 @@ def _weinstein_tangents(s, t):
 def _sigma_charts(epsilon: float, minus: bool):
     root = math.sqrt(abs(epsilon))
 
-    def chart(s, t):
+    def factors(s, t):
         a = root * np.exp(s) * np.exp(1j * np.asarray(t, dtype=float))
-        b = epsilon / a
+        return a, epsilon / a
+
+    def split(a, b):
+        z = np.real(a) + 1j * np.real(b)
         if minus:
             # a = x + iu, b = y + iv
-            return np.real(a) + 1j * np.real(b), np.imag(a) + 1j * np.imag(b)
+            return z, np.imag(a) + 1j * np.imag(b)
         # a = x + iu, b = y - iv
-        return np.real(a) + 1j * np.real(b), np.imag(a) - 1j * np.imag(b)
+        return z, np.imag(a) - 1j * np.imag(b)
+
+    def chart(s, t):
+        return split(*factors(s, t))
 
     def tangents(s, t):
-        a = root * np.exp(s) * np.exp(1j * np.asarray(t, dtype=float))
-        b = epsilon / a
-        a_s, b_s = a, -b
-        a_t, b_t = 1j * a, -1j * b
-        if minus:
-            z_s = np.real(a_s) + 1j * np.real(b_s)
-            w_s = np.imag(a_s) + 1j * np.imag(b_s)
-            z_t = np.real(a_t) + 1j * np.real(b_t)
-            w_t = np.imag(a_t) + 1j * np.imag(b_t)
-        else:
-            z_s = np.real(a_s) + 1j * np.real(b_s)
-            w_s = np.imag(a_s) - 1j * np.imag(b_s)
-            z_t = np.real(a_t) + 1j * np.real(b_t)
-            w_t = np.imag(a_t) - 1j * np.imag(b_t)
-        return z_s, w_s, z_t, w_t
+        a, b = factors(s, t)
+        return (*split(a, -b), *split(1j * a, -1j * b))
 
     return chart, tangents
 

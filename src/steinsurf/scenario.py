@@ -105,21 +105,6 @@ TASK_PLAN = "plan"
 TASK_REPLAY = "replay"
 TASK_VERIFY_LOCAL = "verify-local"
 
-SUITE_PSH_MODELS = "psh_models"
-SUITE_WINDINGS = "windings"
-SUITE_SIGMA_HANDLES = "sigma_handles"
-SUITE_WEINSTEIN = "weinstein"
-SUITE_FLOW = "flow"
-SUITE_EXHAUSTION = "exhaustion"
-SUITES = (
-    SUITE_PSH_MODELS,
-    SUITE_WINDINGS,
-    SUITE_SIGMA_HANDLES,
-    SUITE_WEINSTEIN,
-    SUITE_FLOW,
-    SUITE_EXHAUSTION,
-)
-
 _TASK_ERRORS = (
     InvalidClassError,
     InfeasibleTargetError,
@@ -547,13 +532,14 @@ def _suite_exhaustion(
 
 
 _SUITE_RUNNERS = {
-    SUITE_PSH_MODELS: _suite_psh_models,
-    SUITE_WINDINGS: _suite_windings,
-    SUITE_SIGMA_HANDLES: _suite_sigma_handles,
-    SUITE_WEINSTEIN: _suite_weinstein,
-    SUITE_FLOW: _suite_flow,
-    SUITE_EXHAUSTION: _suite_exhaustion,
+    "psh_models": _suite_psh_models,
+    "windings": _suite_windings,
+    "sigma_handles": _suite_sigma_handles,
+    "weinstein": _suite_weinstein,
+    "flow": _suite_flow,
+    "exhaustion": _suite_exhaustion,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def _run_verify_local(suite: str, params: dict) -> tuple[bool, dict]:

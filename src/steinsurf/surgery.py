@@ -28,10 +28,12 @@ with a projective plane has 2g+1 cross-caps.  Recipes bundle a base class
 with an ordered step list and are validated by replay, so a stored
 recipe is guaranteed to reproduce its expected result.
 
-A replay applies a run of n equal consecutive steps as one translation
-by n times that step's vector, checked once (:func:`_apply_step`).
-Validating a recipe, a plan's included, thus costs O(runs) step
-applications; its steps and a replay's trace remain O(steps) output.
+An untraced replay applies a run of n equal consecutive steps as one
+translation by n times that step's vector, checked once
+(:func:`_apply_step`), so validating a recipe, a plan's included, costs
+O(runs) step applications.  A traced replay applies each step, since its
+trace holds every step's class; its steps and its trace are O(steps)
+output either way.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
 from .invariants import (
     PARITY_VIOLATION,
     ImmersionClass,
-    SurfaceTopology,
     _check_int64,
     _check_record,
     lai,
@@ -242,28 +243,28 @@ def _genus(chi: int, orientable: bool) -> int:
 
 
 def _apply_step(imm: ImmersionClass, step: SurgeryStep,
-                count: int = 1) -> tuple[ImmersionClass, tuple[int, ...], str | None]:
-    """The class ``count`` equal steps take ``imm`` to, the translation
-    ``vector`` of (chi, e, c1, delta_plus, delta_minus) each step adds,
-    and the step's annotation.
+                count: int = 1) -> tuple[ImmersionClass, str | None]:
+    """The class ``count`` equal steps take ``imm`` to, and the step's
+    annotation.
 
-    Every step of the run adds ``vector`` and yields the same
-    orientability, so each value a step checks is linear in the step's
-    index k (the genus too: chi stays even on orientable results), and
-    each check asks that value to lie in an interval: the input's chi in
-    int64, the output's genus, integers and double point counts in range.
-    A linear value inside an interval at both ends of a range of k is
-    inside it throughout.  At k = 0 the outputs read as ``imm``'s own
-    values, which pass, except the genus of a run that makes an
-    orientable base unorientable (it reads 2g there).  Such a move has
-    d_chi <= -1, so the cross-caps 2 - chi - k d_chi grow with k and
-    are at least 1 from k = 1 on (chi <= 2): only their upper bound is
-    checked, at the last step.  So the checks of the last step's input
-    and output, run here once, stand for those of every step of the run.
+    Every step of the run adds the same translation of (chi, e, c1,
+    delta_plus, delta_minus) and yields the same orientability, so
+    each value a step checks is linear in the step's index k (the genus
+    too: chi stays even on orientable results), and each check asks that
+    value to lie in an interval: the input's chi in int64, the output's
+    genus, integers and double point counts in range.  A linear value
+    inside an interval at both ends of a range of k is inside it
+    throughout.  At k = 0 the outputs read as ``imm``'s own values, which
+    pass, except the genus of a run that makes an orientable base
+    unorientable (it reads 2g there).  Such a move has d_chi <= -1, so
+    the cross-caps 2 - chi - k d_chi grow with k and are at least 1 from
+    k = 1 on (chi <= 2): only their upper bound is checked, at the last
+    step.  So the checks of the last step's input and output, run here
+    once on the one class built, stand for those of every step of the run.
     """
     if step.kind == STEP_NORMALIZE:
         form = normalize_complex_points(imm)
-        return imm, (0, 0, 0, 0, 0), (
+        return imm, (
             "normal form: "
             f"{form.special_elliptic} elliptic, "
             f"{form.special_hyperbolic_pos}+{form.special_hyperbolic_neg} hyperbolic"
@@ -273,8 +274,7 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep,
     if step.kind == STEP_CONNECTED_SUM and odd_parity(step.other):
         raise InvalidClassError(PARITY_VIOLATION)
     move = _sum_move(step.other) if step.kind == STEP_CONNECTED_SUM else _MOVES[step.kind]
-    vector, keeps_orientable, note = move
-    d_chi, e, c1, dp, dm = vector
+    (d_chi, e, c1, dp, dm), keeps_orientable, note = move
     dp = imm.delta_plus + count * dp
     dm = imm.delta_minus + count * dm
     if dp < 0:
@@ -284,33 +284,9 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep,
     chi = imm.euler_char
     _check_int64("euler_char", chi + (count - 1) * d_chi)  # the last step's input
     orientable = imm.orientable and keeps_orientable
-    topology = SurfaceTopology(_genus(chi + count * d_chi, orientable), orientable)
-    end = ImmersionClass(topology, imm.normal_euler + count * e, imm.c1_pairing + count * c1, dp, dm)
-    return end, vector, note
-
-
-def _run_trace(position: int, kind: str, note: str | None, last: ImmersionClass,
-               vector: tuple[int, ...], count: int) -> list[dict]:
-    """Trace entries of all but the last of ``count`` equal steps from
-    ``position`` on: the class a step ``back`` steps before the last
-    reaches is ``last`` less ``back`` times the run's translation
-    ``vector``, each entry equal to the ``to_json()`` of that class."""
-    d_chi, de, dc, dp, dm = vector
-    orientable = last.orientable
-    dg = -d_chi // 2 if orientable else -d_chi
-    g, e, c = last.genus, last.normal_euler, last.c1_pairing
-    p, m = last.delta_plus, last.delta_minus
-    entries = [{"position": position + count - 1 - back, "kind": kind, "result": {
-        "topology": {"genus": g - back * dg, "orientable": orientable},
-        "normal_euler": e - back * de,
-        "c1_pairing": c - back * dc,
-        "delta_plus": p - back * dp,
-        "delta_minus": m - back * dm,
-    }} for back in range(count - 1, 0, -1)]
-    if note is not None:
-        for entry in entries:
-            entry["annotation"] = note
-    return entries
+    end = ImmersionClass(_genus(chi + count * d_chi, orientable), orientable,
+                         imm.normal_euler + count * e, imm.c1_pairing + count * c1, dp, dm)
+    return end, note
 
 
 def _runs(steps: list[SurgeryStep]):
@@ -329,29 +305,28 @@ def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | No
     """The one replay loop: :func:`replay` with one entry per step appended
     to ``trace`` unless it is None.
 
-    Each run of equal steps is one :func:`_apply_step` call; only when it
-    fails is the run walked one step at a time from its first step, to
-    find the step that fails and its message."""
+    Untraced, each run of equal steps is one :func:`_apply_step` call;
+    only when it fails is the run walked one step at a time from its
+    first step, to find the step that fails and its message.  Traced,
+    every step is its own call, since each entry holds that step's class."""
     try:
         if odd_parity(base):
             raise InvalidClassError(PARITY_VIOLATION)
     except InvalidClassError as exc:
         raise SurgeryError(f"base class failed: {exc}", position=0) from exc
     current, position = base, 1
-    for step, count in _runs(steps):
+    for step, count in _runs(steps) if trace is None else ((step, 1) for step in steps):
         try:
-            last, vector, note = _apply_step(current, step, count)
+            last, note = _apply_step(current, step, count)
         except (SurgeryError, InvalidClassError):
             last = current
             for k in range(position, position + count):
                 try:
-                    last, vector, note = _apply_step(last, step)
+                    last, note = _apply_step(last, step)
                 except (SurgeryError, InvalidClassError) as exc:
                     raise SurgeryError(f"step {k} ({step.kind}) failed: {exc}", position=k) from exc
         if trace is not None:
-            if count > 1:
-                trace += _run_trace(position, step.kind, note, last, vector, count)
-            entry = {"position": position + count - 1, "kind": step.kind, "result": last.to_json()}
+            entry = {"position": position, "kind": step.kind, "result": last.to_json()}
             if note is not None:
                 entry["annotation"] = note
             trace.append(entry)

@@ -234,6 +234,8 @@ REJECTED = {
         {"task": "check", "surface": "sphere", "varient": "embedded"}]},
     "grid-step-typo": _suite("psh_models", gridstep=0.5),
     "genus-beyond-int64": _plan(orientable=True, genus=10**30, degree=1),
+    "ambient-kind-list": {"schema": 1, "ambients": {"x": {
+        "kind": ["LineBundle"], "stein": True, "kaehler_b2plus_gt1": False}}},
 }
 
 

@@ -9,10 +9,8 @@ from steinsurf.scenario import run_scenario
 from steinsurf.invariants import (
     AmbientDescriptor,
     ImmersionClass,
-    SurfaceTopology,
     adjunction_rhs,
     check_adjunction,
-    euler_char,
     lai,
     oriented_class,
     stein_condition,
@@ -72,29 +70,28 @@ def unoriented_classes(draw, max_genus=20, span=30, max_dp=5):
 
 
 def test_euler_char_table():
-    assert euler_char(SurfaceTopology(0, True)) == 2
-    assert euler_char(SurfaceTopology(1, True)) == 0
-    assert euler_char(SurfaceTopology(2, True)) == -2
-    assert euler_char(SurfaceTopology(1, False)) == 1  # projective plane
-    assert euler_char(SurfaceTopology(2, False)) == 0  # Klein bottle
-
-
-def test_topology_rejects_bad_genus():
-    with pytest.raises(InvalidClassError):
-        SurfaceTopology(-1, True)
-    with pytest.raises(InvalidClassError):
-        SurfaceTopology(0, False)  # no closed unorientable surface without cross-caps
+    assert oriented_class(0).euler_char == 2
+    assert oriented_class(1).euler_char == 0
+    assert oriented_class(2).euler_char == -2
+    assert unoriented_class(1).euler_char == 1  # projective plane
+    assert unoriented_class(2).euler_char == 0  # Klein bottle
 
 
 def test_class_rejects_bad_fields():
+    with pytest.raises(InvalidClassError):
+        oriented_class(-1)
+    with pytest.raises(InvalidClassError):
+        unoriented_class(0)  # no closed unorientable surface without cross-caps
+    with pytest.raises(InvalidClassError):
+        oriented_class(True)  # bool is not an int here
     with pytest.raises(InvalidClassError):
         oriented_class(0, delta_plus=-1)
     with pytest.raises(InvalidClassError):
         oriented_class(0, normal_euler=2**63)
     with pytest.raises(InvalidClassError):
-        ImmersionClass(SurfaceTopology(0, True), True, 0, 0, 0)  # bool is not an int here
+        ImmersionClass(0, True, True, 0, 0, 0)  # bool is not an int here
     with pytest.raises(InvalidClassError):
-        ImmersionClass(SurfaceTopology(0, True), 0.5, 0, 0, 0)
+        ImmersionClass(0, True, 0.5, 0, 0, 0)
 
 
 def test_class_properties():
@@ -297,6 +294,7 @@ def test_ambient_from_json():
         ({"name": "Abstract", "normal_euler": 2, "c1_pairing": 2**63}, "c1_pairing out of"),
         ("LineBundle", "LineBundle ambient needs base_genus and degree"),
         ("Abstract", "Abstract ambient needs normal_euler and c1_pairing"),
+        ([], "unknown ambient kind"),
     ):
         with pytest.raises(InvalidClassError, match=message):
             AmbientDescriptor.from_json({"kind": kind, **flags})

@@ -18,7 +18,6 @@ from steinsurf.invariants import (
     oriented_class,
 )
 from steinsurf.scenario import (
-    SUITE_WINDINGS,
     SUITES,
     load_scenario,
     run_scenario,
@@ -87,7 +86,7 @@ def test_load_rejects_structural_problems():
             "base": oriented_class(0).to_json(), "steps": [{"kind": "Fold"}]}}]},
         {"schema": 1, "tasks": [{"task": "verify-local", "suite": "psychic"}]},
         {"schema": 1, "tasks": [{"task": "verify-local",
-                                 "suite": SUITE_WINDINGS, "params": 7}]},
+                                 "suite": "windings", "params": 7}]},
     ]
     for blob in cases:
         with pytest.raises(ScenarioError):
@@ -291,10 +290,10 @@ def test_text_report_surfaces_task_errors():
 
 
 def test_verify_local_runs_a_suite():
-    report = verify_local(SUITE_WINDINGS)
+    report = verify_local("windings")
     assert report.passed
     (result,) = report.results
-    assert result.label == f"0:verify-local:{SUITE_WINDINGS}"
+    assert result.label == "0:verify-local:windings"
     names = [c["name"] for c in result.details["checks"]]
     assert len(names) == 3
     with pytest.raises(ScenarioError):

@@ -12,7 +12,6 @@ from steinsurf.invariants import (
     INT64_MAX,
     INT64_MIN,
     ImmersionClass,
-    SurfaceTopology,
     adjunction_rhs,
     lai,
     oriented_class,
@@ -103,7 +102,7 @@ def test_connected_sum_sphere_is_neutral_topologically():
     base = oriented_class(2, normal_euler=4, c1_pairing=2, delta_plus=1)
     sphere = oriented_class(0)
     out = _replay_one(base, sg.STEP_CONNECTED_SUM, sphere)
-    assert out.topology == base.topology
+    assert (out.genus, out.orientable) == (base.genus, base.orientable)
     assert out.normal_euler == base.normal_euler
     # index still drops: the sphere brings +2 of its own and the sum -2
     assert lai(out).total == lai(base).total
@@ -214,7 +213,7 @@ def test_resolve_negative_handle():
 def test_resolve_negative_blowup():
     base = oriented_class(2, normal_euler=4, c1_pairing=2, delta_minus=2)
     out = _replay_one(base, sg.STEP_RESOLVE_NEG_BLOWUP)
-    assert out.topology == base.topology
+    assert (out.genus, out.orientable) == (base.genus, base.orientable)
     assert out.delta_minus == base.delta_minus - 1
     assert out.self_intersection == base.self_intersection
     assert adjunction_rhs(out) == adjunction_rhs(base)
@@ -453,7 +452,8 @@ def _ref_connected_sum(a, b):
     orientable = a.orientable and b.orientable
     genus = (2 - chi) // 2 if orientable else 2 - chi
     return ImmersionClass(
-        topology=SurfaceTopology(genus, orientable),
+        genus=genus,
+        orientable=orientable,
         normal_euler=a.normal_euler + b.normal_euler,
         c1_pairing=a.c1_pairing + b.c1_pairing,
         delta_plus=a.delta_plus + b.delta_plus,
@@ -482,15 +482,14 @@ def _ref_resolve_double_point(imm, sign, blowup=False):
     elif imm.delta_minus == 0:
         raise SurgeryError("no negative double point to resolve")
     if blowup:
-        return ImmersionClass(imm.topology, imm.normal_euler - 2, imm.c1_pairing,
+        return ImmersionClass(imm.genus, imm.orientable, imm.normal_euler - 2, imm.c1_pairing,
                               imm.delta_plus, imm.delta_minus - 1)
     chi = imm.euler_char - 2
     genus = (2 - chi) // 2 if imm.orientable else 2 - chi
-    topology = SurfaceTopology(genus, imm.orientable)
     if sign == +1:
-        return ImmersionClass(topology, imm.normal_euler + 2, imm.c1_pairing,
+        return ImmersionClass(genus, imm.orientable, imm.normal_euler + 2, imm.c1_pairing,
                               imm.delta_plus - 1, imm.delta_minus)
-    return ImmersionClass(topology, imm.normal_euler - 2, imm.c1_pairing,
+    return ImmersionClass(genus, imm.orientable, imm.normal_euler - 2, imm.c1_pairing,
                           imm.delta_plus, imm.delta_minus - 1)
 
 
