@@ -173,7 +173,7 @@ def _double_levi(x, y, u, v):
 def _double_fiber(x, u, level):
     """Over (x, u): y^2 + v^2 < level / (x^2 + u^2), the whole (y, v)
     plane where x = u = 0."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         r = np.sqrt(level / (x * x + u * u))
     return 0.0, 0.0, r
 

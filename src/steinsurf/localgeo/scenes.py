@@ -45,7 +45,7 @@ from .fields import (
     model_field,
 )
 from .geometry import Box4, eigmin_arrays
-from .sweeps import fiber_chunks
+from .sweeps import fiber_chunks, require_finite_levi
 
 # Cutoff thresholds: on |z_loc| for hyperbolic charts (fractions of the
 # chart radius), on |z_loc|^2 + |w_loc|^2 for double point charts.
@@ -228,12 +228,15 @@ def exhaustion_certificate(
         rho_w = 0.5 * (gu - 1j * gv)
         r11, r22, r12 = rho.levi(xs, ys, us, vs)
         t11, t22, t12 = tau_jets(chart, xs, ys, us, vs)
-        h1 = 1.0 / (epsilon - t)
-        h2 = h1 * h1
-        a11 = h1 * r11 + h2 * np.abs(rho_z) ** 2 + delta * t11
-        a22 = h1 * r22 + h2 * np.abs(rho_w) ** 2 + delta * t22
-        a12 = h1 * r12 + h2 * rho_z * np.conj(rho_w) + delta * t12
-        eig = eigmin_arrays(a11, a22, a12)
+        # An extreme eps or delta overflows here; the check below refuses it.
+        with np.errstate(all="ignore"):
+            h1 = 1.0 / (epsilon - t)
+            h2 = h1 * h1
+            a11 = h1 * r11 + h2 * np.abs(rho_z) ** 2 + delta * t11
+            a22 = h1 * r22 + h2 * np.abs(rho_w) ** 2 + delta * t22
+            a12 = h1 * r12 + h2 * rho_z * np.conj(rho_w) + delta * t12
+            eig = eigmin_arrays(a11, a22, a12)
+        require_finite_levi(eig, rho.name, xs, ys, us, vs)
         k = int(np.argmin(eig))
         if eig[k] < best:
             best = float(eig[k])

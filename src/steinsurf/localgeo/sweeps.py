@@ -159,6 +159,17 @@ def _field_jets(fld: ScalarField, x, y, u, v):
     return fd_levi_arrays(fld.value, x, y, u, v, DEFAULT_FD_STEP)
 
 
+def require_finite_levi(eig, name: str, x, y, u, v) -> None:
+    """Refuse NaN or infinite Levi eigenvalues, naming the first bad node;
+    argmin would otherwise stop at a NaN and hide the block's minimum."""
+    finite = np.isfinite(eig)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise GeometryError(
+            f"non-finite Levi data for {name} at ({x[bad]}, {y[bad]}, {u[bad]}, {v[bad]})"
+        )
+
+
 def psh_certificate(
     fld: ScalarField,
     box: Box4,
@@ -181,12 +192,7 @@ def psh_certificate(
     for x, y, u, v in grid_chunks(box, grid_step):
         val, grad, (a11, a22, a12) = _field_jets(fld, x, y, u, v)
         eig = eigmin_arrays(a11, a22, a12)
-        if not np.all(np.isfinite(eig)):
-            bad = int(np.argmin(np.isfinite(eig)))
-            raise GeometryError(
-                f"non-finite Levi data for {fld.name} at "
-                f"({x[bad]}, {y[bad]}, {u[bad]}, {v[bad]})"
-            )
+        require_finite_levi(eig, fld.name, x, y, u, v)
         k = int(np.argmin(eig))
         if eig[k] < best_eig:
             best_eig = float(eig[k])

@@ -376,9 +376,12 @@ class SurgeryRecipe:
             )
 
     def to_json(self) -> dict:
+        """Equal steps share one record object, so a plan's report tree
+        holds one record per step kind; the JSON still lists every step."""
+        records: dict[SurgeryStep, dict] = {}
         return {
             "base": self.base.to_json(),
-            "steps": [s.to_json() for s in self.steps],
+            "steps": [records.get(s) or records.setdefault(s, s.to_json()) for s in self.steps],
             "expected": self.expected.to_json(),
         }
 
@@ -419,9 +422,11 @@ class PlanTarget:
     degree: int | None = None
 
 
-# The planner emits one step record per attached summand or resolved
-# double point, so its output grows with the target genus; its replay
-# check does not, since the steps form at most two runs.
+# The planner emits one step per attached summand or resolved double
+# point, so its output grows with the target genus: the report tree
+# shares one record per step kind, but the JSON still prints one record
+# per step (65 MB at 10^6 steps).  Its replay check does not grow, since
+# the steps form at most two runs.
 MAX_PLAN_STEPS = 1 << 20
 
 

@@ -333,6 +333,46 @@ def test_overflowing_tangents_are_a_quiet_task_error(suite, params, capsys):
     assert "non-finite tangent data" in result.details["error"]
 
 
+@pytest.mark.parametrize("params", [
+    {"epsilon": 1e-300, "grid_step": 0.25},
+    {"delta": 1e308, "grid_step": 0.25},
+], ids=["epsilon", "delta"])
+def test_overflowing_exhaustion_is_a_quiet_task_error(params, capsys):
+    """h' = 1/(eps - rho) squared, or delta * tau, overflows to NaN or
+    infinite Levi data, which must not hide behind argmin or pass as a
+    witness."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (result,) = scenario.verify_local("exhaustion", params).results
+    assert capsys.readouterr().err == ""
+    assert not caught
+    assert not result.passed
+    assert "non-finite Levi data" in result.details["error"]
+
+
+def _exhaustion_check(name, witness_point, witness_value):
+    return {"name": name, "pass": False, "certificate": {
+        "pass": False, "rule": "exhaustion-strongly-psh",
+        "witnesses": [{"point": ["phi_levi_min", *witness_point], "value": witness_value},
+                      {"point": "masked_points", "value": 6561}],
+    }}
+
+
+def test_an_unbounded_double_point_fiber_is_quiet():
+    """level / (x^2 + u^2) overflows for eps near the float maximum; the
+    infinite radius is clipped to the whole fiber, as at x = u = 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (result,) = scenario.verify_local("exhaustion", {"epsilon": 1e308,
+                                                         "grid_step": 0.25}).results
+    assert result.details == {"suite": "exhaustion", "checks": [
+        _exhaustion_check("special-hyperbolic-scene", [-0.25, -0.25, -1.0, -1.0],
+                          -4.109772971799819e-06),
+        _exhaustion_check("double-point-scene", [-0.5, 0.0, -0.25, -0.25],
+                          -0.0066794065119449575),
+    ]}
+
+
 NUMBER_PARAMS = [(suite, name) for suite, name, default in SUITE_PARAMS
                  if not isinstance(default, int)]
 

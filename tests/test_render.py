@@ -2,6 +2,8 @@
 key-sorted encoder on every tree a report can hold, and refusing the rest."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from steinsurf import cli
 from steinsurf.certificates import Witness
 from steinsurf.invariants import oriented_class
+from steinsurf.surgery import PlanTarget, plan_cp2
 
 
 class _Str(str):
@@ -54,10 +57,23 @@ trees = st.recursive(
 )
 
 
+def _dumps(obj) -> str:
+    pieces = []
+    cli.dump(obj, pieces.append)
+    return "".join(pieces)
+
+
 @settings(max_examples=400, deadline=None)
 @given(tree=trees)
 def test_emitter_matches_the_stdlib_encoder(tree):
-    assert cli.dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=trees)
+def test_pieces_flushed_at_every_container_join_to_the_same_bytes(tree):
+    with mock.patch.object(cli, "FLUSH_PIECES", 1):
+        assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -67,9 +83,9 @@ def test_emitter_matches_the_stdlib_encoder(tree):
 )
 def test_emitter_refuses_what_a_report_cannot_hold(value):
     with pytest.raises(TypeError):
-        cli.dumps(value)
+        _dumps(value)
     with pytest.raises(TypeError):
-        cli.dumps({"report": [value]})
+        _dumps({"report": [value]})
 
 
 def test_witness_passes_plain_json_data_through():
@@ -111,4 +127,32 @@ def test_timing_report_is_the_default_report_plus_seconds(tmp_path, capsys):
     assert cli.main(["--timing", "check", str(path)]) == code
     timed = json.loads(capsys.readouterr().out)
     assert all(task["seconds"] >= 0 for task in timed["tasks"])
-    assert cli.dumps(_drop_timing(timed)) + "\n" == default
+    assert _dumps(_drop_timing(timed)) + "\n" == default
+
+
+def test_dump_holds_a_bounded_buffer():
+    """A ~10 MB report renders through a bounded buffer, not a joined copy."""
+    step = {"kind": "AttachTorus", "note": "a resolved double point, " * 8}
+    report = {"tasks": [{"steps": [step] * 1000, "label": f"task {i}"} for i in range(40)]}
+    size = 0
+
+    def count(piece):
+        nonlocal size
+        size += len(piece)
+
+    tracemalloc.start()
+    try:
+        cli.dump(report, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 10_000_000
+    assert peak < 2 * 1024 * 1024
+
+
+def test_a_plan_shares_one_record_per_distinct_step():
+    recipe = plan_cp2(PlanTarget(True, 5000, 7, 3))
+    steps = recipe.to_json()["steps"]
+    assert len(steps) == len(recipe.steps)
+    assert len({id(record) for record in steps}) <= len(set(recipe.steps))
+    assert steps == [step.to_json() for step in recipe.steps]
