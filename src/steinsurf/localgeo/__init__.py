@@ -14,7 +14,6 @@ from .fields import (
 from .flow import CONVERGED_VALUE, FlowResult, flow_to_surface
 from .geometry import (
     Box4,
-    OrientedPlane,
     PointC2,
     eigmin_arrays,
     intersection_sign,

@@ -1,4 +1,4 @@
-"""Points, boxes, Hermitian eigenvalues, and oriented planes in C^2 = R^4.
+"""Points, boxes, Hermitian eigenvalues, and intersection signs in C^2 = R^4.
 
 The real coordinates are always ordered (x, y, u, v) with z = x + iy and
 w = u + iv.  The complex orientation of C^2 is the standard orientation
@@ -88,30 +88,17 @@ def eigmin_arrays(a11, a22, a12) -> np.ndarray:
     return 0.5 * (a11 + a22) - np.hypot(0.5 * (a11 - a22), np.abs(a12))
 
 
-def _real4(vec: tuple[complex, complex]) -> np.ndarray:
-    a, b = vec
-    return np.array([a.real, a.imag, b.real, b.imag], dtype=float)
-
-
-@dataclass(frozen=True)
-class OrientedPlane:
-    """Oriented real 2-plane in C^2, given by an ordered basis of tangent
-    vectors written in complex components."""
-
-    basis: tuple[tuple[complex, complex], tuple[complex, complex]]
-
-    def rows(self) -> np.ndarray:
-        return np.stack([_real4(self.basis[0]), _real4(self.basis[1])])
-
-
-def intersection_sign(plane_a: OrientedPlane, plane_b: OrientedPlane) -> int:
-    """Sign of a transverse intersection of two oriented planes.
+def intersection_sign(plane_a: tuple, plane_b: tuple) -> int:
+    """Sign of a transverse intersection of two oriented real 2-planes,
+    each an ordered pair of C^2 vectors (z, w) that spans it.
 
     The four basis vectors are stacked as rows (x, y, u, v) and compared
     against the complex orientation of C^2; swapping the two planes moves
     rows by an even permutation, so the sign is symmetric.
     """
-    rows = np.vstack([plane_a.rows(), plane_b.rows()])
+    rows = np.array(
+        [[z.real, z.imag, w.real, w.imag] for z, w in (*plane_a, *plane_b)], dtype=float
+    )
     det = float(np.linalg.det(rows))
     scale = float(np.prod(np.linalg.norm(rows, axis=1)))
     if scale == 0.0 or abs(det) < 1e-9 * scale:

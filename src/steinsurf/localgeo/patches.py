@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import GeometryError
-from .geometry import OrientedPlane, PointC2
+from .geometry import PointC2
 from .sweeps import DEFAULT_CHUNK
 
 # Node grids are offset into cells by an irrational fraction of the step
@@ -122,28 +122,28 @@ def _immersion_violation(z_s, w_s, z_t, w_t, shape):
     return None
 
 
-def det_arrays(patch: SurfacePatch, s, t, check_immersion: bool = True) -> np.ndarray:
+def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
     """Complex determinant of the tangent pair over parameter arrays, in
     the broadcast shape of ``s`` and ``t``.
 
-    With ``check_immersion`` a GeometryError names the first parameter,
-    in row-major order of that shape, with non-finite tangent data, or
-    else the first where the tangents fail to immerse.  A patch sweep
-    checks one row block at a time, so there the first offending block
-    wins, and within it non-finite data comes before a failure to
-    immerse.
+    A GeometryError names the first parameter, in row-major order of
+    that shape, with non-finite tangent data, or else the first where the
+    tangents fail to immerse.  A patch sweep checks one row block at a
+    time, so there the first offending block wins, and within it
+    non-finite data comes before a failure to immerse.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast(s, t).shape
-    z_s, w_s, z_t, w_t = patch.tangents(s, t)
-    if check_immersion:
-        violation = _immersion_violation(z_s, w_s, z_t, w_t, shape)
-        if violation is not None:
-            bad, what = violation
-            at = np.unravel_index(bad, shape)
-            sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
-            raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
+    # Tangents that overflow are refused as non-finite data just below.
+    with np.errstate(all="ignore"):
+        z_s, w_s, z_t, w_t = patch.tangents(s, t)
+    violation = _immersion_violation(z_s, w_s, z_t, w_t, shape)
+    if violation is not None:
+        bad, what = violation
+        at = np.unravel_index(bad, shape)
+        sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
+        raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
     return np.broadcast_to(np.asarray(z_s * w_t - z_t * w_s, dtype=complex), shape)
 
 
@@ -272,15 +272,6 @@ _SPLIT_FRACTIONS = ((0.5, 0.5), (0.55, 0.45), (0.45, 0.55), (0.6, 0.4))
 _MAX_BISECTIONS = 90
 
 
-def _orientation_sign(patch: SurfacePatch, s: float, t: float) -> int:
-    """Sign of Im(lambda) for T_t = lambda T_s at a complex point."""
-    z_s, w_s, z_t, w_t = patch.tangents(np.asarray(s), np.asarray(t))
-    lam = (z_t * np.conj(z_s) + w_t * np.conj(w_s)) / (
-        np.abs(z_s) ** 2 + np.abs(w_s) ** 2
-    )
-    return 1 if float(np.imag(lam)) > 0 else -1
-
-
 def _subdivide(rect: Rect, fs: float, ft: float) -> list[Rect]:
     sm = rect.s0 + fs * (rect.s1 - rect.s0)
     tm = rect.t0 + ft * (rect.t1 - rect.t0)
@@ -302,9 +293,14 @@ def _refine_zero(
         rect, w, depth = stack.pop()
         sc = 0.5 * (rect.s0 + rect.s1)
         tc = 0.5 * (rect.t0 + rect.t1)
-        d = abs(complex(det_arrays(patch, sc, tc, check_immersion=False)))
+        z_s, w_s, z_t, w_t = patch.tangents(np.asarray(sc), np.asarray(tc))
+        d = abs(complex(z_s * w_t - z_t * w_s))
         if d < tol:
-            sign = _orientation_sign(patch, sc, tc)
+            # Sign of Im(lambda) for T_t = lambda T_s at a complex point.
+            lam = (z_t * np.conj(z_s) + w_t * np.conj(w_s)) / (
+                np.abs(z_s) ** 2 + np.abs(w_s) ** 2
+            )
+            sign = 1 if float(np.imag(lam)) > 0 else -1
             found.append(
                 LocatedComplexPoint(
                     s=float(sc),
@@ -489,7 +485,8 @@ def _sigma_charts(epsilon: float, minus: bool):
     return chart, tangents
 
 
-def _graph_patch(name: str, f, f_s, f_t, rect: Rect) -> SurfacePatch:
+def _graph_patch(name: str, f, f_s, f_t) -> SurfacePatch:
+    """Graph of w = f(z) over the parameter square [-1, 1]^2, z = s + it."""
     def chart(s, t):
         return np.asarray(s) + 1j * np.asarray(t), f(s, t)
 
@@ -502,15 +499,12 @@ def _graph_patch(name: str, f, f_s, f_t, rect: Rect) -> SurfacePatch:
             f_t(s, t),
         )
 
-    return SurfacePatch(name=name, chart=chart, tangents=tangents, domain=(rect,))
+    return SurfacePatch(
+        name=name, chart=chart, tangents=tangents, domain=(Rect(-1.0, 1.0, -1.0, 1.0),)
+    )
 
 
-def conjugate_graph(power: int, half_width: float = 1.0) -> SurfacePatch:
-    """Graph of w = zbar^power; one complex point at 0 of index 1-power."""
-    if power < 1:
-        raise GeometryError(f"power must be >= 1, got {power}")
-    p = power
-
+def _conjugate_power_graph(name: str, p: int) -> SurfacePatch:
     def f(s, t):
         return (np.asarray(s) - 1j * np.asarray(t)) ** p
 
@@ -520,8 +514,14 @@ def conjugate_graph(power: int, half_width: float = 1.0) -> SurfacePatch:
     def f_t(s, t):
         return -1j * p * (np.asarray(s) - 1j * np.asarray(t)) ** (p - 1)
 
-    rect = Rect(-half_width, half_width, -half_width, half_width)
-    return _graph_patch(f"ConjugatePowerGraph{p}", f, f_s, f_t, rect)
+    return _graph_patch(name, f, f_s, f_t)
+
+
+def conjugate_graph(power: int) -> SurfacePatch:
+    """Graph of w = zbar^power; one complex point at 0 of index 1-power."""
+    if power < 1:
+        raise GeometryError(f"power must be >= 1, got {power}")
+    return _conjugate_power_graph(f"ConjugatePowerGraph{power}", power)
 
 
 def model_patch(kind: str, epsilon: float | None = None) -> SurfacePatch:
@@ -551,26 +551,20 @@ def model_patch(kind: str, epsilon: float | None = None) -> SurfacePatch:
             lambda s, t: np.asarray(s) ** 2 + np.asarray(t) ** 2 + 0j,
             lambda s, t: 2 * np.asarray(s) + 0j,
             lambda s, t: 2 * np.asarray(t) + 0j,
-            Rect(-1.0, 1.0, -1.0, 1.0),
         )
     if kind == MODEL_GRAPH_HYPERBOLIC:
-        return _graph_patch(
-            kind,
-            lambda s, t: (np.asarray(s) - 1j * np.asarray(t)) ** 2,
-            lambda s, t: 2 * (np.asarray(s) - 1j * np.asarray(t)),
-            lambda s, t: -2j * (np.asarray(s) - 1j * np.asarray(t)),
-            Rect(-1.0, 1.0, -1.0, 1.0),
-        )
+        return _conjugate_power_graph(kind, 2)
     raise GeometryError(f"unknown model patch kind {kind!r}")
 
 
-def weinstein_double_point_planes() -> tuple[OrientedPlane, OrientedPlane]:
-    """Oriented tangent planes of the Weinstein sphere at its double point.
+def weinstein_double_point_planes() -> tuple[tuple, tuple]:
+    """Oriented tangent planes of the Weinstein sphere at its double point,
+    each an ordered pair of C^2 vectors (z, w) spanning the plane.
 
     The two pole preimages (0, 0, +-1) map to the origin; in graph charts
     respecting the sphere's orientation the tangent bases are
     ((1+2i, 0), (0, 1+2i)) and ((0, 1-2i), (1-2i, 0)).
     """
-    north = OrientedPlane(((1 + 2j, 0j), (0j, 1 + 2j)))
-    south = OrientedPlane(((0j, 1 - 2j), (1 - 2j, 0j)))
+    north = ((1 + 2j, 0j), (0j, 1 + 2j))
+    south = ((0j, 1 - 2j), (1 - 2j, 0j))
     return north, south

@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -317,14 +317,7 @@ def _run_check(name: str, imm: ImmersionClass, variant: str | None, ambient: str
 
 
 def _run_plan(t: PlanTarget) -> tuple[bool, dict]:
-    details: dict = {
-        "target": {
-            "orientable": t.orientable,
-            "genus": t.genus,
-            "delta_plus": t.delta_plus,
-            "degree": t.degree,
-        }
-    }
+    details: dict = {"target": asdict(t)}
     try:
         recipe = plan_cp2(t)
     except InfeasibleTargetError as exc:
@@ -366,8 +359,8 @@ def _require_tol(tol: float) -> None:
         raise GeometryError(f"tolerance must be >= 0, got tol={tol}")
 
 
-def _check_entry(name: str, cert: Certificate) -> dict:
-    return {"name": name, "pass": cert.passed, "certificate": cert.to_json()}
+def _check_entry(name: str, cert: Certificate, **extra) -> dict:
+    return {"name": name, "pass": cert.passed, "certificate": cert.to_json(), **extra}
 
 
 def _suite_psh_models(grid_step: float = 0.05, tol: float | None = None) -> list[dict]:
@@ -386,84 +379,54 @@ def _suite_psh_models(grid_step: float = 0.05, tol: float | None = None) -> list
     return checks
 
 
-_WINDING_TARGETS = (
-    (MODEL_GRAPH_ELLIPTIC, 1),
-    (MODEL_GRAPH_HYPERBOLIC, -1),
-)
-
-
 def _suite_windings(radius: float = 0.5) -> list[dict]:
     checks = []
-    for kind, expected in _WINDING_TARGETS:
-        patch = model_patch(kind)
+    for patch, expected in (
+        (model_patch(MODEL_GRAPH_ELLIPTIC), 1),
+        (model_patch(MODEL_GRAPH_HYPERBOLIC), -1),
+        (conjugate_graph(3), -2),
+    ):
         got = winding_index(patch, (0.0, 0.0), radius)
-        cert = Certificate(
-            got == expected, RULE_WINDING, (Witness(patch.name, got),)
-        )
-        checks.append(_check_entry(f"{kind}:{expected}", cert))
-    cubic = conjugate_graph(3)
-    got = winding_index(cubic, (0.0, 0.0), radius)
-    cert = Certificate(got == -2, RULE_WINDING, (Witness(cubic.name, got),))
-    checks.append(_check_entry(f"{cubic.name}:-2", cert))
+        cert = Certificate(got == expected, RULE_WINDING, (Witness(patch.name, got),))
+        checks.append(_check_entry(f"{patch.name}:{expected}", cert))
     return checks
 
 
-def _located_to_json(points) -> list[dict]:
-    return [p.to_json() for p in points]
+def _totally_real(name: str, patch, grid_step: float) -> dict:
+    """No complex point on the sweep grid and a positive min |det|."""
+    points = locate_complex_points(patch, grid_step=grid_step)
+    floor = min_abs_complex_det(patch)
+    cert = Certificate(not points and floor > 0, RULE_WINDING, (Witness("min_abs_det", floor),))
+    return _check_entry(name, cert)
 
 
 def _suite_sigma_handles(
     epsilon: float = 0.1, grid_step: float = 0.1, tol: float = 1e-4
 ) -> list[dict]:
     _require_tol(tol)
-    checks = []
-
     minus = model_patch(MODEL_SIGMA_MINUS, epsilon=epsilon)
     points = locate_complex_points(minus, grid_step=grid_step)
     r = (abs(epsilon) / 2.0) ** 0.5
-    targets = [
-        np.array([sx * r, sx * r, su * r, -su * r])
-        for sx in (1, -1)
-        for su in (1, -1)
-    ]
-    ok = len(points) == 4 and all(p.index == -1 for p in points)
-    if ok:
-        for p in points:
-            coords = np.array(p.point.reals)
-            ok = ok and min(
-                float(np.linalg.norm(coords - t)) for t in targets
-            ) < tol
+    targets = [(sx * r, sx * r, su * r, -su * r) for sx in (1, -1) for su in (1, -1)]
+    ok = len(points) == 4 and all(
+        p.index == -1 and min(math.dist(p.point.reals, t) for t in targets) < tol
+        for p in points
+    )
     cert = Certificate(
         ok, RULE_WINDING, tuple(Witness(p.point.to_json(), p.index) for p in points)
     )
-    checks.append({"name": "sigma-minus-four-points", "pass": ok,
-                   "certificate": cert.to_json(),
-                   "points": _located_to_json(points)})
-
-    plus = model_patch(MODEL_SIGMA_PLUS, epsilon=epsilon)
-    plus_points = locate_complex_points(plus, grid_step=grid_step)
-    floor = min_abs_complex_det(plus)
-    ok = not plus_points and floor > 0
-    cert = Certificate(ok, RULE_WINDING, (Witness("min_abs_det", floor),))
-    checks.append(_check_entry("sigma-plus-totally-real", cert))
-    return checks
+    return [
+        _check_entry("sigma-minus-four-points", cert, points=[p.to_json() for p in points]),
+        _totally_real("sigma-plus-totally-real",
+                      model_patch(MODEL_SIGMA_PLUS, epsilon=epsilon), grid_step),
+    ]
 
 
 def _suite_weinstein(grid_step: float = 0.1) -> list[dict]:
-    checks = []
-    patch = model_patch(MODEL_WEINSTEIN)
-    points = locate_complex_points(patch, grid_step=grid_step)
-    floor = min_abs_complex_det(patch)
-    ok = not points and floor > 0
-    cert = Certificate(ok, RULE_WINDING, (Witness("min_abs_det", floor),))
-    checks.append(_check_entry("weinstein-totally-real", cert))
-
-    north, south = weinstein_double_point_planes()
-    sign = intersection_sign(north, south)
-    witness = Witness("intersection_sign", sign)
-    cert = Certificate(sign == 1, RULE_INTERSECTION_SIGN, (witness,))
-    checks.append(_check_entry("weinstein-positive-double-point", cert))
-    return checks
+    totally_real = _totally_real("weinstein-totally-real", model_patch(MODEL_WEINSTEIN), grid_step)
+    sign = intersection_sign(*weinstein_double_point_planes())
+    cert = Certificate(sign == 1, RULE_INTERSECTION_SIGN, (Witness("intersection_sign", sign),))
+    return [totally_real, _check_entry("weinstein-positive-double-point", cert)]
 
 
 def _sample_sublevel(field, rng, level: float, half_width: float, draws):

@@ -322,6 +322,7 @@ def test_zero_tolerance_is_accepted(suite, params):
 @pytest.mark.parametrize("suite,params", [
     ("windings", {"radius": 1e300}),
     ("sigma_handles", {"epsilon": 1e300}),
+    ("windings", {"radius": 1e308}),
 ])
 def test_overflowing_tangents_are_a_quiet_task_error(suite, params, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from steinsurf.errors import GeometryError
 from steinsurf.localgeo import (
-    OrientedPlane,
     Rect,
     SurfacePatch,
     conjugate_graph,
@@ -251,10 +250,10 @@ def test_weinstein_double_point_is_positive():
 
 
 def test_intersection_sign_orientation_dependence():
-    z_line = OrientedPlane(((1 + 0j, 0j), (1j, 0j)))
-    w_line = OrientedPlane(((0j, 1 + 0j), (0j, 1j)))
+    z_line = ((1 + 0j, 0j), (1j, 0j))
+    w_line = ((0j, 1 + 0j), (0j, 1j))
     assert intersection_sign(z_line, w_line) == 1
-    flipped = OrientedPlane(((0j, 1j), (0j, 1 + 0j)))
+    flipped = ((0j, 1j), (0j, 1 + 0j))
     assert intersection_sign(z_line, flipped) == -1
     with pytest.raises(GeometryError):
         intersection_sign(z_line, z_line)

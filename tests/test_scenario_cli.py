@@ -300,6 +300,76 @@ def test_verify_local_runs_a_suite():
         verify_local("psychic")
 
 
+def _entry(name, rule, witnesses, **extra):
+    return {"name": name, "pass": True,
+            "certificate": {"pass": True, "rule": rule,
+                            "witnesses": [{"point": p, "value": v} for p, v in witnesses]},
+            **extra}
+
+
+# (s, t, point, raw_winding, orientation_sign, det_abs) of the four
+# located sigma-minus points at epsilon 0.1, grid step 0.05; each has
+# index -1.
+_SIGMA_MINUS_POINTS = [
+    (-2.1594719313644947e-09, 3.9269908168178835,
+     [-0.223606797304976, -0.22360679827072116, -0.2236067972292368, 0.22360679819498194],
+     1, -1, 8.664410537413509e-10),
+    (-6.693558119797311e-10, 2.356194489524965,
+     [-0.22360679745107576, -0.2236067977504208, 0.22360679774953715, -0.2236067980488822],
+     -1, 1, 3.7808640981116544e-10),
+    (8.207603074050326e-10, 0.7853981622320457,
+     [0.2236067981940985, 0.22360679782704335, 0.2236067976729146, -0.22360679730585944],
+     1, -1, 5.701663999785539e-10),
+    (8.207603074050326e-10, 5.4977871426206875,
+     [0.2236067976737983, 0.22360679730674313, -0.22360679819321483, 0.22360679782615966],
+     -1, 1, 5.688747041409921e-10),
+]
+
+_PATCH_SUITE_CHECKS = {
+    ("windings", None): [
+        _entry("GraphSpecialElliptic:1", RULE_WINDING, [("GraphSpecialElliptic", 1)]),
+        _entry("GraphSpecialHyperbolic:-1", RULE_WINDING, [("GraphSpecialHyperbolic", -1)]),
+        _entry("ConjugatePowerGraph3:-2", RULE_WINDING, [("ConjugatePowerGraph3", -2)]),
+    ],
+    ("sigma_handles", 0.05): [
+        _entry("sigma-minus-four-points", RULE_WINDING,
+               [(p[2], -1) for p in _SIGMA_MINUS_POINTS],
+               points=[{"s": s, "t": t, "point": point, "index": -1, "raw_winding": w,
+                        "orientation_sign": sign, "det_abs": d}
+                       for s, t, point, w, sign, d in _SIGMA_MINUS_POINTS]),
+        _entry("sigma-plus-totally-real", RULE_WINDING, [("min_abs_det", 0.20014591577314317)]),
+    ],
+    ("weinstein", 0.05): [
+        _entry("weinstein-totally-real", RULE_WINDING, [("min_abs_det", 0.6689275695116225)]),
+        _entry("weinstein-positive-double-point", RULE_INTERSECTION_SIGN,
+               [("intersection_sign", 1)]),
+    ],
+}
+
+
+def _assert_same(got, want):
+    """Equal keys in equal order, equal types, and floats to rel 1e-9."""
+    if isinstance(want, float):
+        assert type(got) is float and got == pytest.approx(want, rel=1e-9)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_same(got[key], want[key])
+    elif isinstance(want, list):
+        assert type(got) is list and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("suite,grid_step", list(_PATCH_SUITE_CHECKS))
+def test_patch_suite_entries_are_pinned(suite, grid_step):
+    params = None if grid_step is None else {"grid_step": grid_step}
+    (result,) = verify_local(suite, params).results
+    _assert_same(result.details["checks"], _PATCH_SUITE_CHECKS[suite, grid_step])
+
+
 _SUITE_RULES = {
     "psh_models": {RULE_LEVI_PSH},
     "windings": {RULE_WINDING},
