@@ -41,8 +41,8 @@ class SurgeryError(SteinsurfError, ValueError):
 
 
 class GeometryError(SteinsurfError, ValueError):
-    """Invalid geometric input: degenerate tangents, point outside a
-    chart, non-transverse planes, malformed scene."""
+    """Invalid geometric input: degenerate tangents, a start outside the
+    flow box, non-transverse planes, an unknown model kind."""
 
 
 class NumericalError(SteinsurfError, RuntimeError):

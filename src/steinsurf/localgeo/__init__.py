@@ -35,13 +35,5 @@ from .patches import (
     weinstein_double_point_planes,
     winding_index,
 )
-from .scenes import (
-    ModelChart,
-    bump_jets,
-    cutoff_jets,
-    double_point_scene,
-    exhaustion_certificate,
-    special_hyperbolic_scene,
-    tau_jets,
-)
+from .scenes import bump_jets, cutoff_jets, exhaustion_certificate, tau_jets
 from .sweeps import VALUE_FLOOR, grid_chunks, psh_certificate

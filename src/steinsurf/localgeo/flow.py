@@ -27,8 +27,11 @@ from .fields import ScalarField
 from .geometry import Box4, PointC2
 
 CONVERGED_VALUE = 1e-10
+_FIRST_STEP = 0.05
 _MIN_STEP = 1e-12
 _GROWTH = 1.25
+_MAX_ITERS = 5000
+_BOX = Box4.symmetric(2.0)
 
 
 @dataclass(frozen=True)
@@ -45,26 +48,19 @@ def _check_point(x: float, y: float, u: float, v: float) -> None:
         PointC2.from_reals(x, y, u, v)
 
 
-def flow_to_surface(
-    field: ScalarField,
-    start: PointC2,
-    step: float = 0.05,
-    max_iters: int = 5000,
-    box: Box4 | None = None,
-) -> FlowResult:
+def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
     """Flow ``start`` down the closed-form gradient of ``field`` (a field
-    without one is refused) until the value drops below CONVERGED_VALUE,
-    the iteration budget runs out, or the point leaves ``box`` (default:
-    the centered box of half width 2)."""
+    without one is refused) until the value drops below CONVERGED_VALUE or
+    the budget of 5000 attempted steps runs out.  The first step is 0.05.
+    The flow stays in the centered box of half width 2: a start outside it
+    is refused, and a step that leaves it is retried at half the size
+    until the step size falls below its minimum, which raises."""
     if field.gradient is None:
         raise GeometryError(f"field {field.name} has no closed-form gradient to flow along")
-    if step <= 0:
-        raise GeometryError(f"step must be positive, got {step}")
-    box = Box4.symmetric(2.0) if box is None else box
-    if not box.contains(start):
+    if not _BOX.contains(start):
         raise GeometryError(f"start {start.reals} outside the flow box")
     name, value_of, gradient_of = field.name, field.value, field.gradient
-    (xl, yl, ul, vl), (xh, yh, uh, vh) = box.lo, box.hi
+    (xl, yl, ul, vl), (xh, yh, uh, vh) = _BOX.lo, _BOX.hi
 
     def descent(x, y, u, v):
         """Minus the gradient at a stage point, checked like a PointC2."""
@@ -79,10 +75,10 @@ def flow_to_surface(
     value = field.value_at(start)
     trajectory = [start]
     values = [value]
-    dt = step
+    dt = _FIRST_STEP
     converged = value <= CONVERGED_VALUE
 
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         if converged:
             break
         half = 0.5 * dt

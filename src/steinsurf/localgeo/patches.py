@@ -55,8 +55,13 @@ from .sweeps import DEFAULT_CHUNK
 # so that zeros with rational or zero coordinates never land on a cell
 # edge (where boundary windings would be ill-defined).
 GRID_OFFSET_FRACTION = 0.381966011250105
+# Sample counts a winding loop starts from, on a cell boundary and on a
+# parameter circle; _loop_winding doubles them up to MAX_WINDING_SAMPLES.
 MIN_WINDING_SAMPLES = 64
+CIRCLE_WINDING_SAMPLES = 256
 MAX_WINDING_SAMPLES = 1 << 20
+# A bisection stops at a cell whose centre has |det| below this.
+ZERO_TOL = 1e-9
 IMMERSION_REL_TOL = 1e-12
 # Node budget of one domain rectangle's sweep grid, which bounds the
 # sweep's time (its memory is bounded by the row block); the finest grid
@@ -152,14 +157,13 @@ def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _loop_winding(patch: SurfacePatch, sample_loop: Callable, samples: int) -> int:
+def _loop_winding(patch: SurfacePatch, sample_loop: Callable, n: int) -> int:
     """Winding of the tangent determinant along a closed parameter loop.
 
     ``sample_loop(n)`` returns n loop points (closed implicitly).  Sample
-    counts double until every argument increment is below pi/2, which
-    makes the accumulated total unambiguous.
+    counts double from ``n`` until every argument increment is below
+    pi/2, which makes the accumulated total unambiguous.
     """
-    n = max(int(samples), MIN_WINDING_SAMPLES)
     while True:
         s, t = sample_loop(n)
         det = det_arrays(patch, s, t)
@@ -168,7 +172,9 @@ def _loop_winding(patch: SurfacePatch, sample_loop: Callable, samples: int) -> i
             raise GeometryError(
                 "tangent determinant vanishes on the loop; move or shrink it"
             )
-        steps = np.angle(np.roll(det, -1) / det)
+        # Subnormal determinants overflow here; the checks after it refuse them.
+        with np.errstate(all="ignore"):
+            steps = np.angle(np.roll(det, -1) / det)
         if np.max(np.abs(steps)) < 0.5 * math.pi:
             total = float(np.sum(steps)) / (2 * math.pi)
             winding = round(total)
@@ -182,19 +188,12 @@ def _loop_winding(patch: SurfacePatch, sample_loop: Callable, samples: int) -> i
         n *= 2
 
 
-def winding_index(
-    patch: SurfacePatch,
-    center: tuple[float, float],
-    radius: float,
-    samples: int = 256,
-) -> int:
+def winding_index(patch: SurfacePatch, center: tuple[float, float], radius: float) -> int:
     """Winding of the tangent determinant on a parameter circle.
 
     This equals the index of an isolated complex point enclosed by the
     circle, relative to the parametrization's orientation.
     """
-    if samples < MIN_WINDING_SAMPLES:
-        raise GeometryError(f"at least {MIN_WINDING_SAMPLES} samples required")
     if radius <= 0:
         raise GeometryError(f"radius must be positive, got {radius}")
     s0, t0 = center
@@ -203,7 +202,7 @@ def winding_index(
         ang = 2 * math.pi * np.arange(n) / n
         return s0 + radius * np.cos(ang), t0 + radius * np.sin(ang)
 
-    return _loop_winding(patch, sample_loop, samples)
+    return _loop_winding(patch, sample_loop, CIRCLE_WINDING_SAMPLES)
 
 
 def _rect_loop(rect: Rect) -> Callable:
@@ -283,9 +282,7 @@ def _subdivide(rect: Rect, fs: float, ft: float) -> list[Rect]:
     ]
 
 
-def _refine_zero(
-    patch: SurfacePatch, cell: Rect, winding: int, tol: float
-) -> list[LocatedComplexPoint]:
+def _refine_zero(patch: SurfacePatch, cell: Rect, winding: int) -> list[LocatedComplexPoint]:
     """Shrink a cell with nonzero boundary winding down to its zeros."""
     found: list[LocatedComplexPoint] = []
     stack = [(cell, winding, 0)]
@@ -295,7 +292,7 @@ def _refine_zero(
         tc = 0.5 * (rect.t0 + rect.t1)
         z_s, w_s, z_t, w_t = patch.tangents(np.asarray(sc), np.asarray(tc))
         d = abs(complex(z_s * w_t - z_t * w_s))
-        if d < tol:
+        if d < ZERO_TOL:
             # Sign of Im(lambda) for T_t = lambda T_s at a complex point.
             lam = (z_t * np.conj(z_s) + w_t * np.conj(w_s)) / (
                 np.abs(z_s) ** 2 + np.abs(w_s) ** 2
@@ -376,7 +373,7 @@ def _det_rows(patch: SurfacePatch, s_nodes, t_nodes, overlap: int):
 
 
 def locate_complex_points(
-    patch: SurfacePatch, grid_step: float = 0.1, tol: float = 1e-9
+    patch: SurfacePatch, grid_step: float = 0.1
 ) -> list[LocatedComplexPoint]:
     """Find the isolated complex points of a patch.
 
@@ -384,7 +381,7 @@ def locate_complex_points(
     corner determinants indicate a nonzero boundary winding (or vary too
     fast to rule one out) are verified by an adaptively sampled boundary
     winding and refined by bisection until the center determinant drops
-    below ``tol``.  Zeros must be isolated at the grid resolution; a
+    below ZERO_TOL.  Zeros must be isolated at the grid resolution; a
     cluster that never resolves raises instead of returning bad data.
     """
     results: list[LocatedComplexPoint] = []
@@ -416,7 +413,7 @@ def locate_complex_points(
             cell = Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1])
             w = _rect_winding(patch, cell)
             if w != 0:
-                results.extend(_refine_zero(patch, cell, w, tol))
+                results.extend(_refine_zero(patch, cell, w))
 
     # Deduplicate refinements that met on a shared cell edge.
     results.sort(key=lambda r: (r.s, r.t))

@@ -1,11 +1,13 @@
-"""Model scenes: the two model charts and their exhaustion certificates.
+"""Model exhaustions: one cutoff per model kind and the exhaustion
+certificate.
 
-A scene is the ``ModelChart``: one model (special hyperbolic or double
-point) at the origin of C^2, with a radius and a smooth cutoff.  Two
-scalar fields matter:
+Each model of ``fields.MODEL_KINDS`` (special hyperbolic or double
+point) sits at the origin of C^2 with one smooth cutoff, whose interval
+``CUTOFFS`` holds by kind: on |z| for the special hyperbolic model, on
+|z|^2 + |w|^2 for the double point.  Two scalar fields matter:
 
-* the neighborhood function rho, the chart's model function, vanishing
-  exactly on the model surface and carrying closed-form jets;
+* the neighborhood function rho, the model function of the kind,
+  vanishing exactly on the model surface and carrying closed-form jets;
 * the localization term tau = chi * (|z|^2 + |w|^2), whose cutoff is the
   only place second derivatives of the bump enter.
 
@@ -31,26 +33,17 @@ a sweep of the whole grid would, and the certificate is the same.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..certificates import Certificate, RULE_EXHAUSTION, Witness
 from ..errors import GeometryError
-from .fields import (
-    MODEL_DOUBLE_POINT,
-    MODEL_KINDS,
-    MODEL_SPECIAL_HYPERBOLIC,
-    model_field,
-)
+from .fields import MODEL_DOUBLE_POINT, MODEL_SPECIAL_HYPERBOLIC, model_field
 from .geometry import Box4, eigmin_arrays
-from .sweeps import fiber_chunks, require_finite_levi
+from .sweeps import fiber_chunks, first_minimum, require_finite_levi
 
-# Cutoff thresholds: on |z_loc| for hyperbolic charts (fractions of the
-# chart radius), on |z_loc|^2 + |w_loc|^2 for double point charts.
-HYPERBOLIC_CUTOFF = (0.5, 0.75)
-DOUBLE_CUTOFF = (0.25, 0.75)
+# Cutoff interval (chi = 1 below, 0 above) of each model kind: on |z| for
+# the special hyperbolic model, on |z|^2 + |w|^2 for the double point.
+CUTOFFS = {MODEL_SPECIAL_HYPERBOLIC: (0.25, 0.375), MODEL_DOUBLE_POINT: (0.25, 0.75)}
 
 
 # ---------------------------------------------------------------------------
@@ -101,49 +94,9 @@ def bump_jets(sigma):
 
 def cutoff_jets(c, lo: float, hi: float):
     """chi(c) with chi = 1 for c <= lo and 0 for c >= hi, plus chi', chi''."""
-    if not lo < hi:
-        raise GeometryError(f"cutoff thresholds must satisfy lo < hi, got ({lo}, {hi})")
     k = 1.0 / (hi - lo)
     g, g1, g2 = bump_jets((np.asarray(c, dtype=float) - lo) * k)
     return 1.0 - g, -g1 * k, -g2 * k * k
-
-
-# ---------------------------------------------------------------------------
-# Model charts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelChart:
-    """One model chart at the origin of C^2: kind and patch radius."""
-
-    kind: str
-    radius: float
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise GeometryError(f"unknown chart kind {self.kind!r}")
-        if self.radius <= 0:
-            raise GeometryError(f"chart radius must be positive, got {self.radius}")
-
-    def cutoff_interval(self) -> tuple[float, float]:
-        if self.kind == MODEL_SPECIAL_HYPERBOLIC:
-            return (HYPERBOLIC_CUTOFF[0] * self.radius, HYPERBOLIC_CUTOFF[1] * self.radius)
-        return DOUBLE_CUTOFF
-
-    def cutoff_argument(self, x, y, u, v):
-        """The scalar the cutoff is applied to."""
-        if self.kind == MODEL_SPECIAL_HYPERBOLIC:
-            return np.sqrt(x * x + y * y)
-        return x * x + y * y + u * u + v * v
-
-
-def special_hyperbolic_scene(radius: float = 0.5) -> ModelChart:
-    return ModelChart(MODEL_SPECIAL_HYPERBOLIC, radius)
-
-
-def double_point_scene(radius: float = 1.0) -> ModelChart:
-    return ModelChart(MODEL_DOUBLE_POINT, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +104,18 @@ def double_point_scene(radius: float = 1.0) -> ModelChart:
 # ---------------------------------------------------------------------------
 
 
-def tau_jets(chart: ModelChart, x, y, u, v):
-    """Levi entries (t11, t22, t12) of the chart's term
-    chi(c) * (|z|^2 + |w|^2)."""
+def tau_jets(kind: str, x, y, u, v):
+    """Levi entries (t11, t22, t12) of the term chi(c) * (|z|^2 + |w|^2)
+    of model ``kind``, with the cutoff interval CUTOFFS[kind]."""
     zbar = np.conj(x + 1j * y)
     w = u + 1j * v
     q = (x * x + y * y) + (u * u + v * v)
-    c = chart.cutoff_argument(x, y, u, v)
-    chi, chi1, chi2 = cutoff_jets(c, *chart.cutoff_interval())
 
-    if chart.kind == MODEL_SPECIAL_HYPERBOLIC:
+    if kind == MODEL_SPECIAL_HYPERBOLIC:
         # c = |z|: chi_z = chi' zbar / (2c); the annulus excludes c = 0,
         # where chi is locally constant and every chi-derivative vanishes.
+        c = np.sqrt(x * x + y * y)
+        chi, chi1, chi2 = cutoff_jets(c, *CUTOFFS[kind])
         safe_c = np.where(c > 0, c, 1.0)
         chi_z = chi1 * zbar / (2.0 * safe_c)
         chi_zz = chi2 / 4.0 + chi1 / (4.0 * safe_c)
@@ -170,7 +123,9 @@ def tau_jets(chart: ModelChart, x, y, u, v):
         t22 = chi + np.zeros_like(q)
         t12 = chi_z * w
     else:
-        # c = q: chi_z = chi' zbar, etc.
+        # c = |z|^2 + |w|^2: chi_z = chi' zbar, etc.  Summed left to right,
+        # not as q, whose grouping rounds differently.
+        chi, chi1, chi2 = cutoff_jets(x * x + y * y + u * u + v * v, *CUTOFFS[kind])
         t11 = (chi2 * (x * x + y * y) + chi1) * q + 2.0 * chi1 * (x * x + y * y) + chi
         t22 = (chi2 * (u * u + v * v) + chi1) * q + 2.0 * chi1 * (u * u + v * v) + chi
         t12 = chi2 * zbar * w * q + 2.0 * chi1 * zbar * w
@@ -184,14 +139,15 @@ def tau_jets(chart: ModelChart, x, y, u, v):
 
 
 def exhaustion_certificate(
-    chart: ModelChart,
+    kind: str,
     epsilon: float,
     delta: float,
     grid_step: float,
     collar: float | None = None,
     box: Box4 | None = None,
 ) -> Certificate:
-    """Certify phi = -log(eps - rho) + delta * tau strongly psh.
+    """Certify phi = -log(eps - rho) + delta * tau strongly psh for the
+    model ``kind``.
 
     Sweeps the grid points of ``box`` with rho < eps - collar, found
     among the candidates of the model's fiber bound, and checks that the
@@ -209,11 +165,10 @@ def exhaustion_certificate(
     if not 0 < collar < epsilon:
         raise GeometryError(f"collar must lie in (0, epsilon), got {collar}")
     box = Box4.symmetric(1.0) if box is None else box
-    rho = model_field(chart.kind)
+    rho = model_field(kind)
     level = epsilon - collar
 
-    best = math.inf
-    best_at = None
+    best = (np.inf, None)
     n_masked = 0
     for x, y, u, v in fiber_chunks(box, grid_step, rho.fiber, level):
         val = np.asarray(rho.value(x, y, u, v), dtype=float)
@@ -227,7 +182,7 @@ def exhaustion_certificate(
         rho_z = 0.5 * (gx - 1j * gy)
         rho_w = 0.5 * (gu - 1j * gv)
         r11, r22, r12 = rho.levi(xs, ys, us, vs)
-        t11, t22, t12 = tau_jets(chart, xs, ys, us, vs)
+        t11, t22, t12 = tau_jets(kind, xs, ys, us, vs)
         # An extreme eps or delta overflows here; the check below refuses it.
         with np.errstate(all="ignore"):
             h1 = 1.0 / (epsilon - t)
@@ -237,17 +192,15 @@ def exhaustion_certificate(
             a12 = h1 * r12 + h2 * rho_z * np.conj(rho_w) + delta * t12
             eig = eigmin_arrays(a11, a22, a12)
         require_finite_levi(eig, rho.name, xs, ys, us, vs)
-        k = int(np.argmin(eig))
-        if eig[k] < best:
-            best = float(eig[k])
-            best_at = (float(xs[k]), float(ys[k]), float(us[k]), float(vs[k]))
+        best = first_minimum(best, eig, xs, ys, us, vs)
 
-    if best_at is None:
+    value, at = best
+    if at is None:
         raise GeometryError(
             f"no grid points with rho < {level}; refine the grid"
         )
     witnesses = (
-        Witness(["phi_levi_min", *best_at], best),
+        Witness(["phi_levi_min", *at], value),
         Witness("masked_points", n_masked),
     )
-    return Certificate(best > 0, RULE_EXHAUSTION, witnesses)
+    return Certificate(value > 0, RULE_EXHAUSTION, witnesses)

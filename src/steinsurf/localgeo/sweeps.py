@@ -170,6 +170,16 @@ def require_finite_levi(eig, name: str, x, y, u, v) -> None:
         )
 
 
+def first_minimum(best, values, x, y, u, v):
+    """Fold one block into ``best = (value, point)``: the block's smallest
+    value and its first node replace ``best`` only if strictly smaller, so
+    over row-major blocks the earliest minimizing node wins."""
+    k = int(np.argmin(values))
+    if values[k] < best[0]:
+        return float(values[k]), (float(x[k]), float(y[k]), float(u[k]), float(v[k]))
+    return best
+
+
 def psh_certificate(
     fld: ScalarField,
     box: Box4,
@@ -184,29 +194,20 @@ def psh_certificate(
     the gradient condition).  Witnesses report the minimizing points for
     both quantities.
     """
-    best_eig = np.inf
-    best_eig_at = None
-    best_grad = np.inf
-    best_grad_at = None
-
+    levi_min = grad_min = (np.inf, None)
     for x, y, u, v in grid_chunks(box, grid_step):
         val, grad, (a11, a22, a12) = _field_jets(fld, x, y, u, v)
         eig = eigmin_arrays(a11, a22, a12)
         require_finite_levi(eig, fld.name, x, y, u, v)
-        k = int(np.argmin(eig))
-        if eig[k] < best_eig:
-            best_eig = float(eig[k])
-            best_eig_at = (float(x[k]), float(y[k]), float(u[k]), float(v[k]))
+        levi_min = first_minimum(levi_min, eig, x, y, u, v)
 
         off_surface = np.asarray(val) > VALUE_FLOOR
         if np.any(off_surface):
             gnorm = np.sqrt(sum(np.asarray(g) ** 2 for g in grad))
             gnorm = np.where(off_surface, gnorm, np.inf)
-            k = int(np.argmin(gnorm))
-            if gnorm[k] < best_grad:
-                best_grad = float(gnorm[k])
-                best_grad_at = (float(x[k]), float(y[k]), float(u[k]), float(v[k]))
+            grad_min = first_minimum(grad_min, gnorm, x, y, u, v)
 
+    (best_eig, best_eig_at), (best_grad, best_grad_at) = levi_min, grad_min
     witnesses = []
     if best_eig_at is not None:
         witnesses.append(Witness(["levi_min", *best_eig_at], best_eig))

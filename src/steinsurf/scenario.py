@@ -75,6 +75,7 @@ from .localgeo import (
     MODEL_DOUBLE_POINT,
     MODEL_GRAPH_ELLIPTIC,
     MODEL_GRAPH_HYPERBOLIC,
+    MODEL_KINDS,
     MODEL_SIGMA_MINUS,
     MODEL_SIGMA_PLUS,
     MODEL_SPECIAL_HYPERBOLIC,
@@ -82,7 +83,6 @@ from .localgeo import (
     Box4,
     PointC2,
     conjugate_graph,
-    double_point_scene,
     exhaustion_certificate,
     flow_to_surface,
     intersection_sign,
@@ -91,7 +91,6 @@ from .localgeo import (
     model_field,
     model_patch,
     psh_certificate,
-    special_hyperbolic_scene,
     weinstein_double_point_planes,
     winding_index,
 )
@@ -369,7 +368,7 @@ def _suite_psh_models(grid_step: float = 0.05, tol: float | None = None) -> list
         _require_tol(tol)
     box = Box4.symmetric(1.0)
     checks = []
-    for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
+    for kind in MODEL_KINDS:
         for jets in (True, False):
             mode_tol = (1e-9 if jets else 1e-5) if tol is None else tol
             fld = model_field(kind, with_jets=jets)
@@ -406,8 +405,11 @@ def _suite_sigma_handles(
     _require_tol(tol)
     minus = model_patch(MODEL_SIGMA_MINUS, epsilon=epsilon)
     points = locate_complex_points(minus, grid_step=grid_step)
+    # The four points lie at y = x, v = -u for epsilon > 0, mirrored to
+    # y = -x, v = u for epsilon < 0.
     r = (abs(epsilon) / 2.0) ** 0.5
-    targets = [(sx * r, sx * r, su * r, -su * r) for sx in (1, -1) for su in (1, -1)]
+    e = math.copysign(1.0, epsilon)
+    targets = [(sx * r, e * sx * r, su * r, -e * su * r) for sx in (1, -1) for su in (1, -1)]
     ok = len(points) == 4 and all(
         p.index == -1 and min(math.dist(p.point.reals, t) for t in targets) < tol
         for p in points
@@ -461,7 +463,7 @@ def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> l
         raise GeometryError(f"flow needs level > 0 (rho is never negative), got level={level}")
     checks = []
     draws = itertools.repeat(None, MAX_FLOW_DRAWS)
-    for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
+    for kind in MODEL_KINDS:
         fld = model_field(kind)
         rng = np.random.default_rng(seed)
         worst = 0.0
@@ -483,15 +485,11 @@ def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> l
 def _suite_exhaustion(
     epsilon: float = 0.01, delta: float = 1e-3, grid_step: float = 0.05
 ) -> list[dict]:
-    checks = []
-    scenes = (
-        ("special-hyperbolic-scene", special_hyperbolic_scene()),
-        ("double-point-scene", double_point_scene()),
-    )
-    for name, scene in scenes:
-        cert = exhaustion_certificate(scene, epsilon, delta, grid_step)
-        checks.append(_check_entry(name, cert))
-    return checks
+    return [
+        _check_entry(name, exhaustion_certificate(kind, epsilon, delta, grid_step))
+        for kind, name in ((MODEL_SPECIAL_HYPERBOLIC, "special-hyperbolic-scene"),
+                           (MODEL_DOUBLE_POINT, "double-point-scene"))
+    ]
 
 
 _SUITE_RUNNERS = {

@@ -29,7 +29,6 @@ from steinsurf.localgeo import (
     PointC2,
     conjugate_graph,
     det_identity_check,
-    double_point_scene,
     exhaustion_certificate,
     fd_levi_arrays,
     flow_to_surface,
@@ -38,10 +37,10 @@ from steinsurf.localgeo import (
     model_field,
     model_patch,
     psh_certificate,
-    special_hyperbolic_scene,
     winding_index,
 )
 from steinsurf.localgeo.fields import MODEL_DOUBLE_POINT, MODEL_SPECIAL_HYPERBOLIC
+from steinsurf.localgeo.scenes import CUTOFFS
 from steinsurf.localgeo.patches import (
     MODEL_GRAPH_ELLIPTIC,
     MODEL_GRAPH_HYPERBOLIC,
@@ -332,21 +331,19 @@ def test_criterion_09_retraction_flows():
 def test_criterion_10_exhaustion_certificates():
     started = time.perf_counter()
     problems = []
-    scenes = (
-        ("special-hyperbolic", special_hyperbolic_scene()),
-        ("double-point", double_point_scene()),
-    )
-    for name, scene in scenes:
-        good = exhaustion_certificate(scene, 0.01, 1e-3, grid_step=0.05)
+    for kind in (MODEL_SPECIAL_HYPERBOLIC, MODEL_DOUBLE_POINT):
+        good = exhaustion_certificate(kind, 0.01, 1e-3, grid_step=0.05)
         if not good.passed:
-            problems.append(f"{name}: failed at delta=1e-3")
-        bad = exhaustion_certificate(scene, 0.01, 10.0, grid_step=0.05)
+            problems.append(f"{kind}: failed at delta=1e-3")
+        bad = exhaustion_certificate(kind, 0.01, 10.0, grid_step=0.05)
         if bad.passed:
-            problems.append(f"{name}: passed at delta=10")
+            problems.append(f"{kind}: passed at delta=10")
         else:
-            chart = scene
-            c = chart.cutoff_argument(*bad.witnesses[0].point[1:])
-            lo, hi = chart.cutoff_interval()
+            # The cutoff is applied to |z| (hyperbolic) or |z|^2 + |w|^2.
+            x, y, u, v = bad.witnesses[0].point[1:]
+            c = (math.hypot(x, y) if kind == MODEL_SPECIAL_HYPERBOLIC
+                 else x * x + y * y + u * u + v * v)
+            lo, hi = CUTOFFS[kind]
             if not lo < c < hi:
-                problems.append(f"{name}: witness outside the cutoff annulus")
+                problems.append(f"{kind}: witness outside the cutoff annulus")
     _verdict(10, problems, started, budget=60.0)

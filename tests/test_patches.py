@@ -62,8 +62,6 @@ def test_winding_rejects_loops_through_zeros():
 def test_winding_parameter_validation():
     patch = model_patch(MODEL_GRAPH_ELLIPTIC)
     with pytest.raises(GeometryError):
-        winding_index(patch, (0, 0), 0.5, samples=8)
-    with pytest.raises(GeometryError):
         winding_index(patch, (0, 0), 0.0)
 
 
@@ -294,7 +292,7 @@ def test_patch_grid_budget_counts_nodes(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _meshgrid_locate(patch, grid_step, tol=1e-9):
+def _meshgrid_locate(patch, grid_step):
     """Reference: locate_complex_points on one meshgrid per rectangle."""
     results = []
     for rect in patch.domain:
@@ -323,7 +321,7 @@ def _meshgrid_locate(patch, grid_step, tol=1e-9):
             cell = Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1])
             w = patches._rect_winding(patch, cell)
             if w != 0:
-                results.extend(patches._refine_zero(patch, cell, w, tol))
+                results.extend(patches._refine_zero(patch, cell, w))
     results.sort(key=lambda r: (r.s, r.t))
     deduped = []
     for r in results:

@@ -370,6 +370,13 @@ def test_patch_suite_entries_are_pinned(suite, grid_step):
     _assert_same(result.details["checks"], _PATCH_SUITE_CHECKS[suite, grid_step])
 
 
+@pytest.mark.parametrize("epsilon", [0.1, -0.1])
+def test_sigma_handles_passes_for_either_sign_of_epsilon(epsilon):
+    """The four sigma-minus points lie at y = x, v = -u for epsilon > 0 and
+    at the mirror image y = -x, v = u for epsilon < 0."""
+    assert verify_local("sigma_handles", {"epsilon": epsilon, "grid_step": 0.05}).passed
+
+
 _SUITE_RULES = {
     "psh_models": {RULE_LEVI_PSH},
     "windings": {RULE_WINDING},

@@ -15,22 +15,19 @@ from steinsurf.certificates import RULE_EXHAUSTION
 from steinsurf.errors import GeometryError
 from steinsurf.localgeo import (
     Box4,
-    ModelChart,
     PointC2,
     ScalarField,
     bump_jets,
     cutoff_jets,
-    double_point_scene,
     exhaustion_certificate,
     fd_levi_arrays,
     flow_to_surface,
     model_field,
-    special_hyperbolic_scene,
     tau_jets,
 )
 from steinsurf.localgeo import flow
 from steinsurf.localgeo.fields import MODEL_DOUBLE_POINT, MODEL_KINDS, MODEL_SPECIAL_HYPERBOLIC
-from steinsurf.localgeo.scenes import DOUBLE_CUTOFF, HYPERBOLIC_CUTOFF
+from steinsurf.localgeo.scenes import CUTOFFS
 
 
 # ---------------------------------------------------------------------------
@@ -69,38 +66,27 @@ def test_cutoff_plateaus_and_slope():
     mid, slope, _ = cutoff_jets(0.5, 0.25, 0.75)
     assert mid == pytest.approx(0.5)
     assert slope < 0
-    with pytest.raises(GeometryError):
-        cutoff_jets(0.5, 0.75, 0.25)
 
 
 # ---------------------------------------------------------------------------
-# Charts and scene validation
+# Model kinds and their cutoffs
 # ---------------------------------------------------------------------------
 
 
-def test_chart_validation_and_cutoff_intervals():
-    with pytest.raises(GeometryError):
-        ModelChart("Cusp", 1.0)
-    with pytest.raises(GeometryError):
-        ModelChart(MODEL_DOUBLE_POINT, 0.0)
-    hyp = ModelChart(MODEL_SPECIAL_HYPERBOLIC, 2.0)
-    assert hyp.cutoff_interval() == (
-        HYPERBOLIC_CUTOFF[0] * 2.0,
-        HYPERBOLIC_CUTOFF[1] * 2.0,
-    )
-    dbl = ModelChart(MODEL_DOUBLE_POINT, 2.0)
-    assert dbl.cutoff_interval() == DOUBLE_CUTOFF
+def test_unknown_kind_is_refused_and_cutoff_intervals():
+    with pytest.raises(GeometryError, match="unknown model kind 'Cusp'"):
+        exhaustion_certificate("Cusp", 0.01, 1e-3, 0.25)
+    assert CUTOFFS == {MODEL_SPECIAL_HYPERBOLIC: (0.25, 0.375), MODEL_DOUBLE_POINT: (0.25, 0.75)}
 
 
-def test_single_chart_scene_is_the_model_field():
-    """The exhaustion's rho is the chart's model field: it masks exactly
-    the grid nodes where the model lies below eps - collar."""
+def test_exhaustion_masks_the_model_field():
+    """The exhaustion's rho is the model field of its kind: it masks
+    exactly the grid nodes where the model lies below eps - collar."""
     box = Box4.symmetric(0.5)
     x, y, u, v = np.meshgrid(*box.axes(0.1), indexing="ij")
-    for scene in (special_hyperbolic_scene(), double_point_scene()):
-        model = model_field(scene.kind)
-        below = np.count_nonzero(model.value(x, y, u, v) < 0.01 - 0.1 * 0.01)
-        cert = exhaustion_certificate(scene, 0.01, 1e-3, 0.1, box=box)
+    for kind in MODEL_KINDS:
+        below = np.count_nonzero(model_field(kind).value(x, y, u, v) < 0.01 - 0.1 * 0.01)
+        cert = exhaustion_certificate(kind, 0.01, 1e-3, 0.1, box=box)
         assert 0 < cert.witnesses[1].value == below < x.size
 
 
@@ -109,15 +95,53 @@ def test_single_chart_scene_is_the_model_field():
 # ---------------------------------------------------------------------------
 
 
-def _tau_field(chart):
+# Reference formulas that tau_jets must match bit for bit, written out
+# here as the model charts had them: the cutoff argument (|z| for the
+# hyperbolic model, the four squares summed left to right for the double
+# point), the cutoff interval (the fractions (0.5, 0.75) of a radius 0.5
+# for the hyperbolic model, (0.25, 0.75) for the double point) and the
+# cutoff jets.
+_REFERENCE_CUTOFF = {
+    MODEL_SPECIAL_HYPERBOLIC: (0.5 * 0.5, 0.75 * 0.5),
+    MODEL_DOUBLE_POINT: (0.25, 0.75),
+}
+
+
+def _reference_cutoff_argument(kind, x, y, u, v):
+    if kind == MODEL_SPECIAL_HYPERBOLIC:
+        return np.sqrt(x * x + y * y)
+    return x * x + y * y + u * u + v * v
+
+
+def _reference_tau_jets(kind, x, y, u, v):
+    zbar = np.conj(x + 1j * y)
+    w = u + 1j * v
+    q = (x * x + y * y) + (u * u + v * v)
+    c = _reference_cutoff_argument(kind, x, y, u, v)
+    lo, hi = _REFERENCE_CUTOFF[kind]
+    k = 1.0 / (hi - lo)
+    g, g1, g2 = bump_jets((np.asarray(c, dtype=float) - lo) * k)
+    chi, chi1, chi2 = 1.0 - g, -g1 * k, -g2 * k * k
+    if kind == MODEL_SPECIAL_HYPERBOLIC:
+        safe_c = np.where(c > 0, c, 1.0)
+        chi_z = chi1 * zbar / (2.0 * safe_c)
+        chi_zz = chi2 / 4.0 + chi1 / (4.0 * safe_c)
+        return chi_zz * q + chi1 * c + chi, chi + np.zeros_like(q), chi_z * w
+    t11 = (chi2 * (x * x + y * y) + chi1) * q + 2.0 * chi1 * (x * x + y * y) + chi
+    t22 = (chi2 * (u * u + v * v) + chi1) * q + 2.0 * chi1 * (u * u + v * v) + chi
+    t12 = chi2 * zbar * w * q + 2.0 * chi1 * zbar * w
+    return t11, t22, t12
+
+
+def _tau_field(kind):
     """tau = chi(c) * (|z|^2 + |w|^2) as a ScalarField: its value and
     gradient are written out here as the reference, its Levi entries are
     tau_jets, so the field's finite differences cross-check them."""
 
     def jets(x, y, u, v):
         q = (x * x + y * y) + (u * u + v * v)
-        c = chart.cutoff_argument(x, y, u, v)
-        return q, c, *cutoff_jets(c, *chart.cutoff_interval())
+        c = _reference_cutoff_argument(kind, x, y, u, v)
+        return q, c, *cutoff_jets(c, *CUTOFFS[kind])
 
     def value(x, y, u, v):
         q, _, chi, _, _ = jets(x, y, u, v)
@@ -127,21 +151,37 @@ def _tau_field(chart):
         # grad tau = chi grad q + q chi'(c) grad c, with grad q = 2 (x, y, u, v)
         # and grad c = (x, y, 0, 0) / c (hyperbolic, c = |z|) or grad q.
         q, c, chi, chi1, _ = jets(x, y, u, v)
-        if chart.kind == MODEL_SPECIAL_HYPERBOLIC:
+        if kind == MODEL_SPECIAL_HYPERBOLIC:
             grad_c = (x / c, y / c, 0.0, 0.0)
         else:
             grad_c = (2 * x, 2 * y, 2 * u, 2 * v)
         return tuple(2 * chi * a + q * chi1 * g for a, g in zip((x, y, u, v), grad_c))
 
     def levi(x, y, u, v):
-        return tau_jets(chart, x, y, u, v)
+        return tau_jets(kind, x, y, u, v)
 
     return ScalarField(name="SceneTau", value=value, gradient=gradient, levi=levi)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_tau_jets_are_the_reference_bit_for_bit(kind):
+    """Seeded points on the plateau, in the cutoff annulus, beyond it and at
+    c = 0; a cutoff argument summed in another order differs in the last
+    bit on about a quarter of the points, and this catches it."""
+    x, y, u, v = np.random.default_rng(1701).uniform(-0.8, 0.8, (4, 20000))
+    x[:500] = y[:500] = 0.0
+    x[500], y[500], u[500], v[500] = 0.0, 0.0, 0.0, 0.0
+    c = _reference_cutoff_argument(kind, x, y, u, v)
+    lo, hi = _REFERENCE_CUTOFF[kind]
+    assert np.any(c == 0) and np.any((0 < c) & (c < lo))
+    assert np.count_nonzero((lo < c) & (c < hi)) > 1000 and np.any(c > hi)
+    got = tau_jets(kind, x, y, u, v)
+    for a, b in zip(got, _reference_tau_jets(kind, x, y, u, v)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_tau_value_plateaus():
-    scene = special_hyperbolic_scene(radius=0.5)
-    tau = _tau_field(scene)
+    tau = _tau_field(MODEL_SPECIAL_HYPERBOLIC)
     inner = PointC2.from_reals(0.1, 0.05, 0.3, 0.2)
     assert math.hypot(0.1, 0.05) < 0.25
     assert tau.value_at(inner) == pytest.approx(sum(c * c for c in inner.reals))
@@ -150,20 +190,21 @@ def test_tau_value_plateaus():
 
 
 @pytest.mark.parametrize(
-    "scene,samples",
+    "kind,samples",
     [
         (
-            special_hyperbolic_scene(radius=4.0),
-            [(2.2, 0.3, 0.4, 0.1), (2.8, -0.5, 0.2, 0.6), (1.4, 0.9, -0.3, 0.2)],
+            MODEL_SPECIAL_HYPERBOLIC,
+            [(0.275, 0.0375, 0.05, 0.0125), (0.35, -0.0625, 0.025, 0.075),
+             (0.3, 0.1125, -0.0375, 0.025)],
         ),
         (
-            double_point_scene(),
+            MODEL_DOUBLE_POINT,
             [(0.4, 0.3, 0.2, 0.1), (0.55, 0.35, 0.45, 0.15), (0.3, 0.2, 0.1, 0.6)],
         ),
     ],
 )
-def test_tau_jets_match_finite_differences(scene, samples):
-    tau = _tau_field(scene)
+def test_tau_jets_match_finite_differences(kind, samples):
+    tau = _tau_field(kind)
     for coords in samples:
         p = PointC2.from_reals(*coords)
         x, y, u, v = coords
@@ -185,26 +226,23 @@ def test_tau_jets_match_finite_differences(scene, samples):
 
 
 def test_exhaustion_validation():
-    scene = double_point_scene()
     with pytest.raises(GeometryError):
-        exhaustion_certificate(scene, 0.0, 1e-3, 0.25)
+        exhaustion_certificate(MODEL_DOUBLE_POINT, 0.0, 1e-3, 0.25)
     with pytest.raises(GeometryError):
-        exhaustion_certificate(scene, 0.01, 0.0, 0.25)
+        exhaustion_certificate(MODEL_DOUBLE_POINT, 0.01, 0.0, 0.25)
     with pytest.raises(GeometryError):
-        exhaustion_certificate(scene, 0.01, 1e-3, 0.25, collar=0.02)
+        exhaustion_certificate(MODEL_DOUBLE_POINT, 0.01, 1e-3, 0.25, collar=0.02)
 
 
 def test_exhaustion_needs_points_near_the_surface():
     off_surface_box = Box4((0.3, 0.3, 0.3, 0.3), (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(GeometryError):
-        exhaustion_certificate(double_point_scene(), 1e-9, 1e-3, 0.5, box=off_surface_box)
+        exhaustion_certificate(MODEL_DOUBLE_POINT, 1e-9, 1e-3, 0.5, box=off_surface_box)
 
 
-@pytest.mark.parametrize(
-    "scene", [special_hyperbolic_scene(), double_point_scene()], ids=["hyp", "dbl"]
-)
-def test_exhaustion_passes_with_small_weight(scene):
-    cert = exhaustion_certificate(scene, 0.01, 1e-3, grid_step=0.1)
+@pytest.mark.parametrize("kind", MODEL_KINDS, ids=["hyp", "dbl"])
+def test_exhaustion_passes_with_small_weight(kind):
+    cert = exhaustion_certificate(kind, 0.01, 1e-3, grid_step=0.1)
     assert cert.passed
     assert cert.rule == RULE_EXHAUSTION
     eig, masked = cert.witnesses
@@ -214,23 +252,21 @@ def test_exhaustion_passes_with_small_weight(scene):
     assert masked.value > 0
 
 
-@pytest.mark.parametrize(
-    "scene", [special_hyperbolic_scene(), double_point_scene()], ids=["hyp", "dbl"]
-)
-def test_exhaustion_fails_with_large_weight_in_the_annulus(scene):
-    cert = exhaustion_certificate(scene, 0.01, 10.0, grid_step=0.1)
+@pytest.mark.parametrize("kind", MODEL_KINDS, ids=["hyp", "dbl"])
+def test_exhaustion_fails_with_large_weight_in_the_annulus(kind):
+    cert = exhaustion_certificate(kind, 0.01, 10.0, grid_step=0.1)
     assert not cert.passed
     eig = cert.witnesses[0]
     assert eig.value < 0
-    c = scene.cutoff_argument(*eig.point[1:])
-    lo, hi = scene.cutoff_interval()
+    c = _reference_cutoff_argument(kind, *eig.point[1:])
+    lo, hi = CUTOFFS[kind]
     assert lo < c < hi  # the negative curvature comes from the cutoff annulus
 
 
 def test_exhaustion_margin_at_the_double_point_is_the_weight():
     """At the origin rho and its gradient and Levi form vanish and tau is
     |z|^2 + |w|^2, so the assembled Levi form there is exactly delta * I."""
-    cert = exhaustion_certificate(double_point_scene(), 0.01, 1e-3, 0.01,
+    cert = exhaustion_certificate(MODEL_DOUBLE_POINT, 0.01, 1e-3, 0.01,
                                   box=Box4.symmetric(0.01))
     assert cert.passed
     eig, masked = cert.witnesses
@@ -285,16 +321,16 @@ def _reference_descent(field, coords):
     return -g.reshape(4)
 
 
-def _reference_flow(field, start, step=0.05, max_iters=5000):
+def _reference_flow(field, start):
     """The numpy-vector RK4 stepper with a PointC2 per stage, the reference
     the float stepper must match bit for bit."""
     box = Box4.symmetric(2.0)
     coords = np.array(start.reals, dtype=float)
     value = float(field.value_at(start))
     trajectory, values = [start], [value]
-    dt = step
+    dt = 0.05
     converged = value <= flow.CONVERGED_VALUE
-    for _ in range(max_iters):
+    for _ in range(5000):
         if converged:
             break
         k1 = _reference_descent(field, coords)
@@ -369,10 +405,7 @@ def test_flow_near_diagonal_needs_growing_steps():
 
 def test_flow_parameter_validation():
     fld = model_field(MODEL_DOUBLE_POINT)
-    inside = PointC2.from_reals(0.1, 0.2, 0.0, 0.0)
-    with pytest.raises(GeometryError):
-        flow_to_surface(fld, inside, step=0.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="outside the flow box"):
         flow_to_surface(fld, PointC2.from_reals(3.0, 0, 0, 0))
 
 
@@ -401,9 +434,10 @@ def test_flow_escaping_the_box_raises():
         flow_to_surface(drain, PointC2.from_reals(2.0, 0.0, 0.0, 0.0))
 
 
-def test_flow_iteration_budget():
+def test_flow_iteration_budget(monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_ITERS", 3)
     fld = model_field(MODEL_DOUBLE_POINT)
-    result = flow_to_surface(fld, PointC2.from_reals(0.09, 0.09, 0.0, 0.0), max_iters=3)
+    result = flow_to_surface(fld, PointC2.from_reals(0.09, 0.09, 0.0, 0.0))
     assert not result.converged
     assert result.final_value > 1e-10
     assert len(result.values) <= 4

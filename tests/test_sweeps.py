@@ -13,12 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 from steinsurf.errors import GeometryError
 from steinsurf.localgeo import Box4, model_field, psh_certificate, sweeps
 from steinsurf.localgeo import scenes
-from steinsurf.localgeo.fields import MODEL_KINDS, fd_levi_arrays
-from steinsurf.localgeo.scenes import (
-    double_point_scene,
-    exhaustion_certificate,
-    special_hyperbolic_scene,
+from steinsurf.localgeo.fields import (
+    MODEL_DOUBLE_POINT,
+    MODEL_KINDS,
+    MODEL_SPECIAL_HYPERBOLIC,
+    fd_levi_arrays,
 )
+from steinsurf.localgeo.scenes import exhaustion_certificate
 from steinsurf.localgeo.sweeps import DEFAULT_CHUNK, fiber_chunks, grid_chunks
 
 RNG = np.random.default_rng(20261017)
@@ -165,8 +166,7 @@ def _certificates(step):
     box = Box4.symmetric(1.0)
     out = [psh_certificate(model_field(kind, with_jets=jets), box, step, 1e-9).to_json()
            for kind in MODEL_KINDS for jets in (True, False)]
-    out += [exhaustion_certificate(scene, 0.02, 1e-3, step).to_json()
-            for scene in (special_hyperbolic_scene(), double_point_scene())]
+    out += [exhaustion_certificate(kind, 0.02, 1e-3, step).to_json() for kind in MODEL_KINDS]
     return json.dumps(out)
 
 
@@ -185,7 +185,7 @@ def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch, step, chunk):
 # The exhaustion's sublevel fibers against the full sweep
 # ---------------------------------------------------------------------------
 
-SCENES = {"hyp": special_hyperbolic_scene(), "dbl": double_point_scene()}
+SCENES = {"hyp": MODEL_SPECIAL_HYPERBOLIC, "dbl": MODEL_DOUBLE_POINT}
 # Boxes that reach the model surfaces, skewed and mostly non-symmetric.
 near_origin_boxes = st.tuples(
     st.lists(st.floats(-1.2, 0.2), min_size=4, max_size=4),
@@ -257,8 +257,8 @@ def test_exhaustion_peak_memory_is_bounded_by_its_blocks(step):
     candidates; its peak does not grow with the 41^4 or 81^4 grid."""
     tracemalloc.start()
     try:
-        for scene in SCENES.values():
-            exhaustion_certificate(scene, 0.01, 1e-3, step)
+        for kind in MODEL_KINDS:
+            exhaustion_certificate(kind, 0.01, 1e-3, step)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
