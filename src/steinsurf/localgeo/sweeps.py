@@ -11,13 +11,15 @@ number of leading rows.  Each chunk's trailing coordinates are then
 slices of those tiles, and its leading coordinates, constant along a
 block, come from ``np.repeat``; nothing is gathered point by point.
 
-``DEFAULT_CHUNK`` is 2^16 points.  A finite-difference chunk keeps about
-25 temporaries of chunk size alive (the stencil's shifted values), which
-at 2^16 float64 points is 512 KB apiece and stays in a 2 MB L2 cache;
-at 2^19 they stream through memory.  On a 2-vCPU Xeon with 2 MB L2 the
-smaller chunk made the finite-difference sweeps faster and cut the peak
-resident memory of a full psh_models + exhaustion run from about 220 MB
-to about 55 MB.
+``DEFAULT_CHUNK`` is 2^13 nodes, for both sweeps.  A finite-difference
+block keeps about 25 float64 temporaries of block size alive (the
+stencil's shifted values): 12.5 MB at 2^16, 1.6 MB at 2^13.  glibc
+returns that set to the kernel between blocks, and each block faults it
+back in.  On a 2-vCPU Xeon with 2 MB L2, a grid-certify pass (psh_models
+at step 0.05, exhaustion at 0.025) peaked at 57 MB resident with 1.6e5
+minor faults at 2^16, and at 39 MB with 6e4 faults on the first pass
+and under 1e4 from the third at 2^13; 2^12 (37 MB, 1-2e4 faults) ran
+slower, on per-block Python overhead.
 
 Sublevel sweeps.  The exhaustion only needs the nodes where its rho lies
 below a level L, a few percent of the grid, so ``fiber_chunks`` never
@@ -30,10 +32,7 @@ and the window ends, so every node with rho < L in floating point is a
 candidate.  Per x row, one (n_y, n_u) table holds each (y, u) line's run
 of v nodes; candidates are cut from those runs in row-major order, in
 blocks of at most ``chunk`` nodes, so no index array grows with more
-than the square of the node count.  Most candidates pass the mask, and
-the Levi assembly that follows keeps about 380 bytes per node alive, so
-the blocks are a quarter of ``DEFAULT_CHUNK``: at 2^16 the exhaustion
-alone peaked above the finite-difference sweep.
+than the square of the node count.
 
 A sweep refuses, before allocating anything, a non-finite grid step and
 any grid of more than ``MAX_GRID_NODES`` nodes.
@@ -53,7 +52,7 @@ from ..errors import GeometryError
 from .fields import DEFAULT_FD_STEP, ScalarField, fd_gradient_arrays, fd_levi_arrays  # noqa: F401
 from .geometry import Box4, eigmin_arrays
 
-DEFAULT_CHUNK = 1 << 16
+DEFAULT_CHUNK = 1 << 13
 # About 6x the largest grid in use (81^4 ~ 4.3e7 nodes, step 0.025 on
 # the unit box); a finer step is refused instead of swept for hours.
 MAX_GRID_NODES = 1 << 28
@@ -100,7 +99,7 @@ def grid_chunks(
 
 
 def fiber_chunks(
-    box: Box4, step: float, fiber, level: float, chunk: int = DEFAULT_CHUNK // 4
+    box: Box4, step: float, fiber, level: float, chunk: int = DEFAULT_CHUNK
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the grid nodes of ``box`` that a field's fiber bound admits
     below ``level``, as flat coordinate arrays, at most ``chunk`` points

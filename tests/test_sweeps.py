@@ -172,8 +172,9 @@ def _certificates(step):
 
 # Step 0.25 gives 9^4 nodes, so chunk 7 is below one row of the last
 # axis, and below the exhaustion's v runs of up to 9 nodes; step 0.125
-# gives 17^4 = 83521 nodes, more than one default chunk.
-@pytest.mark.parametrize("step, chunk", [(0.25, 7), (0.125, DEFAULT_CHUNK)])
+# gives 17^4 = 83521 nodes, more than one default chunk and two chunks
+# of 2^16 nodes.
+@pytest.mark.parametrize("step, chunk", [(0.25, 7), (0.125, DEFAULT_CHUNK), (0.125, 1 << 16)])
 def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch, step, chunk):
     _with_chunk(monkeypatch, 10 ** 9)
     whole = _certificates(step)
@@ -262,4 +263,21 @@ def test_exhaustion_peak_memory_is_bounded_by_its_blocks(step):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 512 * (DEFAULT_CHUNK // 4) + (1 << 20)
+    assert peak <= 512 * DEFAULT_CHUNK + (1 << 20)
+
+
+@pytest.mark.parametrize("step", [0.125, 0.0625])
+def test_psh_peak_memory_is_bounded_by_its_blocks(step):
+    """A psh sweep holds one block's jets, finite-difference stencil
+    included, at a time; its peak does not grow with the 17^4 or 33^4
+    grid."""
+    box = Box4.symmetric(1.0)
+    tracemalloc.start()
+    try:
+        for kind in MODEL_KINDS:
+            for jets in (True, False):
+                psh_certificate(model_field(kind, with_jets=jets), box, step, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 8 * DEFAULT_CHUNK + (1 << 20)
