@@ -9,15 +9,16 @@ Three layers:
 * :mod:`steinsurf.surgery` — replayable surgery moves (connected sums,
   handle attachments, double point resolutions) and a planner for
   classes in the projective plane.
-* :mod:`steinsurf.localgeo` — numeric certificates: winding indices of
-  complex points, Levi form positivity sweeps, gradient-flow
-  retractions, and patched exhaustion functions.
+* :mod:`steinsurf.localgeo` — numeric certificates: winding indices,
+  Levi form sweeps, gradient flows and patched exhaustions.  ``import
+  steinsurf`` loads neither it nor numpy; use ``import steinsurf.localgeo``.
 
 The :mod:`steinsurf.cli` module ties these together behind a scenario
-runner (``steinsurf check/plan/replay/verify-local``).
+runner (``steinsurf check/plan/replay/verify-local``); ``check``, ``plan``
+and ``replay`` run without numpy.
 """
 
-from . import invariants, localgeo, scenario, surgery
+from . import invariants, scenario, surgery
 from .certificates import Certificate, Witness
 from .errors import (
     GeometryError,

@@ -26,6 +26,12 @@ Failures discovered while running a task
 are recorded in the report and fail that task.  Reports are
 deterministic: identical scenarios produce byte-identical JSON, with
 wall-clock timing only in the text emitter or behind an explicit flag.
+
+``check``, ``plan`` and ``replay`` never import numpy.  numpy (as ``np``)
+and the localgeo names in ``_LOCALGEO_NAMES`` are bound into this
+module's globals when a verify-local task is parsed, or when code outside
+the module first reads one.  The runners look them up here, where a
+tracer may patch them first, so a binding never overwrites a set name.
 """
 
 from __future__ import annotations
@@ -39,8 +45,6 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from .certificates import (
     Certificate,
@@ -71,29 +75,6 @@ from .invariants import (
     validate,
     verdict,
 )
-from .localgeo import (
-    MODEL_DOUBLE_POINT,
-    MODEL_GRAPH_ELLIPTIC,
-    MODEL_GRAPH_HYPERBOLIC,
-    MODEL_KINDS,
-    MODEL_SIGMA_MINUS,
-    MODEL_SIGMA_PLUS,
-    MODEL_SPECIAL_HYPERBOLIC,
-    MODEL_WEINSTEIN,
-    Box4,
-    PointC2,
-    conjugate_graph,
-    exhaustion_certificate,
-    flow_to_surface,
-    intersection_sign,
-    locate_complex_points,
-    min_abs_complex_det,
-    model_field,
-    model_patch,
-    psh_certificate,
-    weinstein_double_point_planes,
-    winding_index,
-)
 from .surgery import PlanTarget, SurgeryStep, plan_cp2, read_recipe, replay_trace
 
 SCHEMA_VERSION = 1
@@ -111,6 +92,32 @@ _TASK_ERRORS = (
     GeometryError,
     NumericalError,
 )
+
+_LOCALGEO_NAMES = (
+    "MODEL_DOUBLE_POINT", "MODEL_GRAPH_ELLIPTIC", "MODEL_GRAPH_HYPERBOLIC", "MODEL_KINDS",
+    "MODEL_SIGMA_MINUS", "MODEL_SIGMA_PLUS", "MODEL_SPECIAL_HYPERBOLIC", "MODEL_WEINSTEIN",
+    "Box4", "PointC2", "conjugate_graph", "exhaustion_certificate", "flow_to_surface",
+    "intersection_sign", "locate_complex_points", "min_abs_complex_det", "model_field",
+    "model_patch", "psh_certificate", "weinstein_double_point_planes", "winding_index",
+)
+
+
+def _bind_localgeo() -> None:
+    """Bind numpy and the localgeo names here; a name already set stays."""
+    import numpy
+    from . import localgeo
+
+    bound = globals()
+    bound.setdefault("np", numpy)
+    for name in _LOCALGEO_NAMES:
+        bound.setdefault(name, getattr(localgeo, name))
+
+
+def __getattr__(name: str) -> Any:
+    if name != "np" and name not in _LOCALGEO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_localgeo()
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -255,6 +262,7 @@ def _parse_task(data: Any, surfaces: dict, ambients: dict) -> tuple[str, Any]:
     _require(_one_of(suite, _SUITE_RUNNERS),
              f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     params = _parse_params(suite, data.get("params", {}))
+    _bind_localgeo()
     return f"verify-local:{suite}", functools.partial(_run_verify_local, suite, params)
 
 

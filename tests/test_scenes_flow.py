@@ -378,6 +378,7 @@ def test_float_flow_is_bit_identical_to_the_numpy_stepper(kind, seed, level):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_sampler_draws_the_starts_of_the_pointc2_sampler(kind):
+    scenario._bind_localgeo()  # as a verify-local parse does before any run
     fld = model_field(kind)
     for seed in range(5):
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
