@@ -28,19 +28,28 @@ Model patches:
 * ``GraphSpecialElliptic`` / ``GraphSpecialHyperbolic``: the graphs
   w = z zbar and w = zbar^2.
 
-Chunk layout.  A sweep walks each domain rectangle's node grid in blocks
-of whole rows (s fixed), at most ``DEFAULT_CHUNK`` nodes and at least
-two rows each.  That is 2^16, not the 4-D sweeps' 2^13: a row holds
-up to about 1,570 t nodes at step 0.004, so a 2^13-node block is five
-rows and the one-row overlap below would redo a fifth of them; such
-blocks measured no faster on the adaptive patch checks.
-A block is evaluated on broadcast axes, the rows' s nodes as a column
-against the t nodes as a row, so a separable chart computes its factors
-once per axis and no meshgrid is built; memory is bounded by the block,
-not by the grid step.  ``locate_complex_points`` starts each block on
-the last row of the one before, so every cell has all four corners in
-one block and the candidate cells come out in row-major order;
-``min_abs_complex_det`` needs no overlap.
+Chunk layout.  Both sweeps walk each domain rectangle's node grid
+through ``_det_blocks``, in blocks of whole rows (s fixed) of at most
+``DEFAULT_CHUNK`` nodes and at least two rows each, every block starting
+on the last row of the one before, so every cell has all four corners
+in one block and the candidate cells come out in row-major order.  The
+block is 2^16 nodes, not the 4-D sweeps' 2^13: a row holds up to about
+1,570 t nodes at step 0.004, so a 2^13-node block is five rows and the
+shared rows would redo a fifth of them; such blocks measured no faster
+on the adaptive patch checks.  A block is evaluated on broadcast axes,
+the rows' s nodes as a column against the t nodes as a row, so a
+separable chart computes its factors once per axis and no meshgrid is
+built; memory is bounded by the block, not by the grid step.
+
+The nodes of a rectangle sit at lo + (k + 0.382) step on each axis, for
+k < count = max(floor((hi - lo) / step), 2), so the cells span
+[lo + 0.382 step, lo + (count - 0.618) step]: a margin of 0.382 step at
+the low end and of 0.618 to 1.618 steps at the high end is in no cell,
+and a complex point there is never located.  Weinstein at step 0.05
+leaves 1.282 steps on s and 1.618 on t; sigma at 0.004 leaves 1.414
+steps at the top of t, so its periodic t-seam is an uncovered band of
+about 1.8 steps.  No model has a complex point in a margin: SigmaMinus's
+lie at s = 0, t = pi/4 + k pi/2, and the graphs' at the origin.
 """
 
 from __future__ import annotations
@@ -113,25 +122,6 @@ class SurfacePatch:
         return PointC2(complex(z), complex(w))
 
 
-def _immersion_violation(z_s, w_s, z_t, w_t, shape):
-    """Flat index, into the parameter ``shape``, of a parameter where the
-    tangents are R-dependent or their Gram data is not finite, with what
-    is wrong there; or None."""
-    with np.errstate(all="ignore"):
-        n_s = np.abs(z_s) ** 2 + np.abs(w_s) ** 2
-        n_t = np.abs(z_t) ** 2 + np.abs(w_t) ** 2
-        inner = np.real(z_s * np.conj(z_t) + w_s * np.conj(w_t))
-        gram = np.broadcast_to(n_s * n_t - inner**2, shape)
-        bad = gram <= IMMERSION_REL_TOL * n_s * n_t
-    # gram is finite only where both norms and their product are.
-    finite = np.isfinite(gram)
-    if not finite.all():
-        return int(np.argmin(np.ravel(finite))), "has non-finite tangent data"
-    if np.any(bad):
-        return int(np.argmax(np.ravel(bad))), "fails to immerse"
-    return None
-
-
 def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
     """Complex determinant of the tangent pair over parameter arrays, in
     the broadcast shape of ``s`` and ``t``.
@@ -148,12 +138,20 @@ def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
     # Tangents that overflow are refused as non-finite data just below.
     with np.errstate(all="ignore"):
         z_s, w_s, z_t, w_t = patch.tangents(s, t)
-    violation = _immersion_violation(z_s, w_s, z_t, w_t, shape)
-    if violation is not None:
-        bad, what = violation
-        at = np.unravel_index(bad, shape)
-        sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
-        raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
+        n_s = np.abs(z_s) ** 2 + np.abs(w_s) ** 2
+        n_t = np.abs(z_t) ** 2 + np.abs(w_t) ** 2
+        inner = np.real(z_s * np.conj(z_t) + w_s * np.conj(w_t))
+        gram = np.broadcast_to(n_s * n_t - inner**2, shape)
+        folded = gram <= IMMERSION_REL_TOL * n_s * n_t
+    # gram is finite only where both norms and their product are.
+    for bad, what in ((~np.isfinite(gram), "has non-finite tangent data"),
+                      (folded, "fails to immerse")):
+        if np.any(bad):
+            at = np.unravel_index(int(np.argmax(bad)), shape)
+            sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
+            raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
+    # Freed here, so a block's peak is the check's or the product's, not both.
+    del n_s, n_t, inner, gram, folded
     return np.broadcast_to(np.asarray(z_s * w_t - z_t * w_s, dtype=complex), shape)
 
 
@@ -362,19 +360,21 @@ def _cell_nodes(rect: Rect, step: float) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def _det_rows(patch: SurfacePatch, s_nodes, t_nodes, overlap: int):
-    """Yield ``(first_row, det)`` over the node grid ``s_nodes x t_nodes``
-    in blocks of at most DEFAULT_CHUNK nodes (at least two rows), each
-    block starting ``overlap`` rows before the previous one ends."""
-    rows = max(DEFAULT_CHUNK // len(t_nodes), 2)
-    t = t_nodes[None, :]
-    first = 0
-    while True:
-        last = min(first + rows, len(s_nodes))
-        yield first, det_arrays(patch, s_nodes[first:last, None], t)
-        if last == len(s_nodes):
-            return
-        first = last - overlap
+def _det_blocks(patch: SurfacePatch, grid_step: float):
+    """Yield ``(s_nodes, t_nodes, first_row, det)`` over the node grid of
+    each domain rectangle in turn, ``det`` holding rows ``first_row``
+    onward of ``s_nodes`` against all of ``t_nodes``: blocks of at most
+    DEFAULT_CHUNK nodes and at least two rows, each starting on the last
+    row of the one before.  The cells cover each rectangle but for its
+    margins, 0.382 step at the low end of an axis and 0.618 to 1.618
+    steps at the high end, where no complex point is found (see "Chunk
+    layout")."""
+    for rect in patch.domain:
+        s_nodes, t_nodes = _cell_nodes(rect, grid_step)
+        rows = max(DEFAULT_CHUNK // len(t_nodes), 2)
+        for first in range(0, len(s_nodes) - 1, rows - 1):
+            det = det_arrays(patch, s_nodes[first:first + rows, None], t_nodes)
+            yield s_nodes, t_nodes, first, det
 
 
 def locate_complex_points(
@@ -388,37 +388,36 @@ def locate_complex_points(
     winding and refined by bisection until the center determinant drops
     below ZERO_TOL.  Zeros must be isolated at the grid resolution; a
     cluster that never resolves raises instead of returning bad data.
+    The whole grid is swept, and its errors raised, before any cell is
+    refined.
     """
+    cells = []
+    for s_nodes, t_nodes, first, det in _det_blocks(patch, grid_step):
+        if np.any(det == 0):
+            raise GeometryError(
+                f"determinant vanishes exactly on a grid node of {patch.name}; "
+                "perturb grid_step"
+            )
+        d00 = det[:-1, :-1]
+        d10 = det[1:, :-1]
+        d11 = det[1:, 1:]
+        d01 = det[:-1, 1:]
+        e = [
+            np.angle(d10 / d00),
+            np.angle(d11 / d10),
+            np.angle(d01 / d11),
+            np.angle(d00 / d01),
+        ]
+        total = sum(e)
+        quick = np.round(total / (2 * math.pi)).astype(int)
+        fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
+        for i, j in np.argwhere((quick != 0) | fast_edges) + (first, 0):
+            cells.append(Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1]))
     results: list[LocatedComplexPoint] = []
-    for rect in patch.domain:
-        s_nodes, t_nodes = _cell_nodes(rect, grid_step)
-        cells = []
-        for first, det in _det_rows(patch, s_nodes, t_nodes, overlap=1):
-            if np.any(det == 0):
-                raise GeometryError(
-                    f"determinant vanishes exactly on a grid node of {patch.name}; "
-                    "perturb grid_step"
-                )
-            d00 = det[:-1, :-1]
-            d10 = det[1:, :-1]
-            d11 = det[1:, 1:]
-            d01 = det[:-1, 1:]
-            e = [
-                np.angle(d10 / d00),
-                np.angle(d11 / d10),
-                np.angle(d01 / d11),
-                np.angle(d00 / d01),
-            ]
-            total = sum(e)
-            quick = np.round(total / (2 * math.pi)).astype(int)
-            fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
-            candidates = np.argwhere((quick != 0) | fast_edges)
-            cells.extend((first + i, j) for i, j in candidates)
-        for i, j in cells:
-            cell = Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1])
-            w = _rect_winding(patch, cell)
-            if w != 0:
-                results.extend(_refine_zero(patch, cell, w))
+    for cell in cells:
+        w = _rect_winding(patch, cell)
+        if w != 0:
+            results.extend(_refine_zero(patch, cell, w))
 
     # Deduplicate refinements that met on a shared cell edge.
     results.sort(key=lambda r: (r.s, r.t))
@@ -436,10 +435,8 @@ def min_abs_complex_det(patch: SurfacePatch, grid_step: float = 0.05) -> float:
     """Minimum |det| over the sweep grid; a positive lower-bound witness
     that a patch is totally real at grid resolution."""
     best = math.inf
-    for rect in patch.domain:
-        s_nodes, t_nodes = _cell_nodes(rect, grid_step)
-        for _, det in _det_rows(patch, s_nodes, t_nodes, overlap=0):
-            best = min(best, float(np.min(np.abs(det))))
+    for *_, det in _det_blocks(patch, grid_step):
+        best = min(best, float(np.min(np.abs(det))))
     return best
 
 

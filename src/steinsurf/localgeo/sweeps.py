@@ -3,13 +3,15 @@
 Sweeps run in flat chunks so memory stays bounded on fine grids (an
 81^4 box is ~43M points); all per-point work is vectorized numpy.
 
-Chunk layout.  The grid is walked in row-major order over (x, y, u, v).
-``grid_chunks`` takes as trailing block the largest run of last axes
-(never x) with at most ``chunk`` nodes, builds that block's coordinates
-once, and tiles it as many whole times as fit in a chunk, capped at the
-number of leading rows.  Each chunk's trailing coordinates are then
-slices of those tiles, and its leading coordinates, constant along a
-block, come from ``np.repeat``; nothing is gathered point by point.
+Chunk layout.  Both sweeps yield chunks of at most ``DEFAULT_CHUNK``
+nodes, read as they run (tests patch it; no caller sets a size).  The
+grid is walked in row-major order over (x, y, u, v).  ``grid_chunks``
+takes as trailing block the largest run of last axes (never x) that
+fits in a chunk, builds that block's coordinates once, and tiles it as
+many whole times as fit in a chunk, capped at the number of leading
+rows.  Each chunk's trailing coordinates are then slices of those
+tiles, and its leading coordinates, constant along a block, come from
+``np.repeat``; nothing is gathered point by point.
 
 ``DEFAULT_CHUNK`` is 2^13 nodes, for both sweeps.  A finite-difference
 block keeps about 25 float64 temporaries of block size alive (the
@@ -30,9 +32,9 @@ is turned into node indices with the axis's own ``linspace`` spacing and
 widened by one node on each side, which covers the rounding of both rho
 and the window ends, so every node with rho < L in floating point is a
 candidate.  Per x row, one (n_y, n_u) table holds each (y, u) line's run
-of v nodes; candidates are cut from those runs in row-major order, in
-blocks of at most ``chunk`` nodes, so no index array grows with more
-than the square of the node count.
+of v nodes; candidates are cut from those runs in row-major order, one
+chunk at a time, so no index array grows with more than the square of
+the node count.
 
 A sweep refuses, before allocating anything, a non-finite grid step and
 any grid of more than ``MAX_GRID_NODES`` nodes.
@@ -71,10 +73,10 @@ def _grid_shape(box: Box4, step: float) -> tuple[int, int, int, int]:
 
 
 def grid_chunks(
-    box: Box4, step: float, chunk: int = DEFAULT_CHUNK
+    box: Box4, step: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the grid of ``box`` at spacing ``step`` as flat coordinate
-    arrays, at most ``chunk`` points at a time, in row-major order.
+    arrays, at most DEFAULT_CHUNK points at a time, in row-major order.
 
     Raises GeometryError for a non-finite step or a grid of more than
     MAX_GRID_NODES nodes.  Callers must not write to the yielded arrays:
@@ -82,10 +84,10 @@ def grid_chunks(
     """
     shape = _grid_shape(box, step)
     ax = box.axes(step)
-    split = next(k for k in range(1, 5) if math.prod(shape[k:]) <= chunk)
+    split = next(k for k in range(1, 5) if math.prod(shape[k:]) <= DEFAULT_CHUNK)
     block = math.prod(shape[split:])
     rows = math.prod(shape[:split])
-    per_chunk = min(chunk // block, rows)
+    per_chunk = min(DEFAULT_CHUNK // block, rows)
     trailing = [np.tile(a.ravel(), per_chunk)
                 for a in np.meshgrid(*ax[split:], indexing="ij")]
     for t in trailing:
@@ -99,11 +101,11 @@ def grid_chunks(
 
 
 def fiber_chunks(
-    box: Box4, step: float, fiber, level: float, chunk: int = DEFAULT_CHUNK
+    box: Box4, step: float, fiber, level: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield the grid nodes of ``box`` that a field's fiber bound admits
-    below ``level``, as flat coordinate arrays, at most ``chunk`` points
-    at a time, in row-major order.
+    below ``level``, as flat coordinate arrays, at most DEFAULT_CHUNK
+    points at a time, in row-major order.
 
     ``fiber`` is a field's ``(axis, bound)`` (see ``ScalarField``): over
     each x node and node t of ``axis``, the nodes with |s - c| <= r and
@@ -141,8 +143,8 @@ def fiber_chunks(
         if lines.size == 0:
             continue
         ends = np.cumsum(runs[lines])
-        for first in range(0, int(ends[-1]), chunk):
-            node = np.arange(first, min(first + chunk, int(ends[-1])))
+        for first in range(0, int(ends[-1]), DEFAULT_CHUNK):
+            node = np.arange(first, min(first + DEFAULT_CHUNK, int(ends[-1])))
             k = np.searchsorted(ends, node, side="right")
             line = lines[k]
             v = starts[line] + node - (ends[k] - runs[line])

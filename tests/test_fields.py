@@ -1,6 +1,7 @@
 """Tests for model scalar fields, finite differences, and grid sweeps."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,10 +216,11 @@ def test_box_validation_and_containment():
 
 def test_grid_chunks_cover_the_box_in_order():
     box = Box4.symmetric(0.5)
-    full = [np.concatenate(parts) for parts in
-            zip(*grid_chunks(box, 0.5, chunk=10 ** 9))]
+    with mock.patch.object(sweeps, "DEFAULT_CHUNK", 10 ** 9):
+        full = [np.concatenate(parts) for parts in zip(*grid_chunks(box, 0.5))]
     assert full[0].size == 3 ** 4
-    pieces = list(grid_chunks(box, 0.5, chunk=10))
+    with mock.patch.object(sweeps, "DEFAULT_CHUNK", 10):
+        pieces = list(grid_chunks(box, 0.5))
     assert all(part[0].size <= 10 for part in pieces)
     stitched = [np.concatenate(axis) for axis in zip(*pieces)]
     for whole, rebuilt in zip(full, stitched):

@@ -390,19 +390,22 @@ def test_row_block_sweeps_match_the_meshgrid_sweeps(kind, epsilon, step, chunk):
         assert _outcome(min_abs_complex_det, patch, step) == _outcome(
             _meshgrid_min_abs, patch, step
         )
+        blocks = patches._det_blocks(patch, step)
         for rect in patch.domain:
             s_nodes, t_nodes = patches._cell_nodes(rect, step)
             whole = patches.det_arrays(
                 patch, *np.meshgrid(s_nodes, t_nodes, indexing="ij")
             )
-            for overlap in (0, 1):
-                end = 0
-                for first, det in patches._det_rows(patch, s_nodes, t_nodes, overlap):
-                    assert first == max(end - overlap, 0)
-                    assert det.size <= max(chunk, 2 * len(t_nodes))
-                    end = first + len(det)
-                    assert det.tobytes() == whole[first:end].tobytes()
-                assert end == len(s_nodes)
+            end = 0
+            while end < len(s_nodes):
+                block_s, block_t, first, det = next(blocks)
+                assert np.array_equal(block_s, s_nodes) and np.array_equal(block_t, t_nodes)
+                assert first == max(end - 1, 0)
+                assert det.size <= max(chunk, 2 * len(t_nodes))
+                end = first + len(det)
+                assert det.tobytes() == whole[first:end].tobytes()
+            assert end == len(s_nodes)
+        assert next(blocks, None) is None
 
 
 def _faulty_patch(fold=None, nan=None):

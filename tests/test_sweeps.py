@@ -1,7 +1,6 @@
 """Tests for the sweep inner loop: grid chunking and the shared
 finite-difference stencil, against straightforward reference versions."""
 
-import functools
 import json
 import tracemalloc
 from unittest import mock
@@ -11,14 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from steinsurf.errors import GeometryError
-from steinsurf.localgeo import Box4, model_field, psh_certificate, sweeps
-from steinsurf.localgeo import scenes
+from steinsurf.localgeo import Box4, model_field, model_patch, psh_certificate, sweeps
+from steinsurf.localgeo import patches, scenes
 from steinsurf.localgeo.fields import (
     MODEL_DOUBLE_POINT,
     MODEL_KINDS,
     MODEL_SPECIAL_HYPERBOLIC,
     fd_levi_arrays,
 )
+from steinsurf.localgeo.patches import MODEL_WEINSTEIN
 from steinsurf.localgeo.scenes import exhaustion_certificate
 from steinsurf.localgeo.sweeps import DEFAULT_CHUNK, fiber_chunks, grid_chunks
 
@@ -52,7 +52,8 @@ chunks = st.one_of(st.sampled_from([1, 2, 3, 10 ** 9]), st.integers(1, 20000))
 def test_grid_chunks_match_the_unravel_reference(box, step, chunk):
     expected = reference_grid(box, step)
     total = expected[0].size
-    pieces = list(grid_chunks(box, step, chunk=chunk))
+    with mock.patch.object(sweeps, "DEFAULT_CHUNK", chunk):
+        pieces = list(grid_chunks(box, step))
     assert all(0 < p[0].size <= chunk for p in pieces)
     assert all(len({c.size for c in p}) == 1 for p in pieces)
     for whole, parts in zip(expected, zip(*pieces)):
@@ -67,8 +68,9 @@ def test_huge_chunk_allocates_no_more_than_the_grid(step):
     grid_bytes = 4 * 8 * int(np.prod(box.node_counts(step)))
     tracemalloc.start()
     try:
-        for _ in grid_chunks(box, step, chunk=10 ** 7):
-            pass
+        with mock.patch.object(sweeps, "DEFAULT_CHUNK", 10 ** 7):
+            for _ in grid_chunks(box, step):
+                pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -76,10 +78,23 @@ def test_huge_chunk_allocates_no_more_than_the_grid(step):
     assert peak <= 2 * grid_bytes + 64 * 1024
 
 
+@mock.patch.object(sweeps, "DEFAULT_CHUNK", 30)
 def test_shared_trailing_coordinates_are_read_only():
-    for part in grid_chunks(Box4.symmetric(1.0), 0.5, chunk=30):
+    for part in grid_chunks(Box4.symmetric(1.0), 0.5):
         with pytest.raises(ValueError):
             part[3][0] = 0.0
+
+
+def test_every_sweep_reads_its_block_size_when_it_runs():
+    box, fld = Box4.symmetric(1.0), model_field(MODEL_DOUBLE_POINT)
+    with mock.patch.object(sweeps, "DEFAULT_CHUNK", 7):
+        for pieces in (list(grid_chunks(box, 0.25)),
+                       list(fiber_chunks(box, 0.25, fld.fiber, 0.5))):
+            assert len(pieces) > 1 and all(p[0].size <= 7 for p in pieces)
+    with mock.patch.object(patches, "DEFAULT_CHUNK", 64):
+        blocks = list(patches._det_blocks(model_patch(MODEL_WEINSTEIN), 0.1))
+    assert len(blocks) > 1
+    assert all(det.size <= max(64, 2 * len(t)) for _, t, _, det in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +172,6 @@ def test_stencil_calls_the_field_25_times():
 # ---------------------------------------------------------------------------
 
 
-def _with_chunk(monkeypatch, chunk):
-    monkeypatch.setattr(sweeps, "grid_chunks", functools.partial(grid_chunks, chunk=chunk))
-    monkeypatch.setattr(scenes, "fiber_chunks", functools.partial(fiber_chunks, chunk=chunk))
-
-
 def _certificates(step):
     box = Box4.symmetric(1.0)
     out = [psh_certificate(model_field(kind, with_jets=jets), box, step, 1e-9).to_json()
@@ -176,9 +186,9 @@ def _certificates(step):
 # of 2^16 nodes.
 @pytest.mark.parametrize("step, chunk", [(0.25, 7), (0.125, DEFAULT_CHUNK), (0.125, 1 << 16)])
 def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch, step, chunk):
-    _with_chunk(monkeypatch, 10 ** 9)
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", 10 ** 9)
     whole = _certificates(step)
-    _with_chunk(monkeypatch, chunk)
+    monkeypatch.setattr(sweeps, "DEFAULT_CHUNK", chunk)
     assert _certificates(step) == whole
 
 
@@ -194,10 +204,10 @@ near_origin_boxes = st.tuples(
 ).map(lambda lw: Box4(tuple(lw[0]), tuple(l + w for l, w in zip(*lw))))
 
 
-def _full_sweep(box, step, fiber, level, chunk=DEFAULT_CHUNK):
+def _full_sweep(box, step, fiber, level):
     """Every grid node in row-major order: the exhaustion's sweep before
     the fiber bound, kept as its reference."""
-    return grid_chunks(box, step, chunk)
+    return grid_chunks(box, step)
 
 
 def _outcome(*args):
@@ -214,7 +224,8 @@ def test_fiber_chunks_hold_every_sublevel_node_in_row_major_order(kind, level, b
     fld = model_field(kind)
     grid = reference_grid(box, step)
     below = np.flatnonzero(fld.value(*grid) < level)
-    pieces = list(fiber_chunks(box, step, fld.fiber, level, chunk=chunk))
+    with mock.patch.object(sweeps, "DEFAULT_CHUNK", chunk):
+        pieces = list(fiber_chunks(box, step, fld.fiber, level))
     assert all(0 < p[0].size <= chunk for p in pieces)
     assert all(len({c.size for c in p}) == 1 for p in pieces)
     if not pieces:
