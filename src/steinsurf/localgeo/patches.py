@@ -31,15 +31,16 @@ Model patches:
 Chunk layout.  Both sweeps walk each domain rectangle's node grid
 through ``_det_blocks``, in blocks of whole rows (s fixed) of at most
 ``DEFAULT_CHUNK`` nodes and at least two rows each, every block starting
-on the last row of the one before, so every cell has all four corners
-in one block and the candidate cells come out in row-major order.  The
-block is 2^16 nodes, not the 4-D sweeps' 2^13: a row holds up to about
-1,570 t nodes at step 0.004, so a 2^13-node block is five rows and the
-shared rows would redo a fifth of them; such blocks measured no faster
-on the adaptive patch checks.  A block is evaluated on broadcast axes,
-the rows' s nodes as a column against the t nodes as a row, so a
-separable chart computes its factors once per axis and no meshgrid is
-built; memory is bounded by the block, not by the grid step.
+on the last row of the one before, so every cell, and every s edge, has
+its nodes in one block and the candidate cells come out in row-major
+order; the screen takes arg det once per node of a block.  The block is
+2^16 nodes, not the 4-D sweeps' 2^13: a row holds up to about 1,570 t
+nodes at step 0.004, so a 2^13-node block is five rows and the shared
+rows would redo a fifth of them; such blocks measured no faster on the
+adaptive patch checks.  A block is evaluated on broadcast axes, the
+rows' s nodes as a column against the t nodes as a row, so a separable
+chart computes its factors once per axis and no meshgrid is built;
+memory is bounded by the block, not by the grid step.
 
 The nodes of a rectangle sit at lo + (k + 0.382) step on each axis, for
 k < count = max(floor((hi - lo) / step), 2), so the cells span
@@ -377,19 +378,30 @@ def _det_blocks(patch: SurfacePatch, grid_step: float):
             yield s_nodes, t_nodes, first, det
 
 
+def _steep_cells(det: np.ndarray) -> np.ndarray:
+    """Row-major ``(i, j)`` of the cells with an edge along which arg det
+    turns by 0.45 pi or more: its nodes' args differ by 0.45 to 1.55 pi."""
+    arg = np.angle(det)
+    down, along = (
+        np.abs(math.pi - np.abs(np.diff(arg, axis=axis))) <= 0.55 * math.pi
+        for axis in (0, 1)
+    )
+    return np.argwhere(down[:, :-1] | down[:, 1:] | along[:-1] | along[1:])
+
+
 def locate_complex_points(
     patch: SurfacePatch, grid_step: float = 0.1
 ) -> list[LocatedComplexPoint]:
     """Find the isolated complex points of a patch.
 
-    The domain is covered by cells of roughly ``grid_step``; cells whose
-    corner determinants indicate a nonzero boundary winding (or vary too
-    fast to rule one out) are verified by an adaptively sampled boundary
-    winding and refined by bisection until the center determinant drops
-    below ZERO_TOL.  Zeros must be isolated at the grid resolution; a
-    cluster that never resolves raises instead of returning bad data.
-    The whole grid is swept, and its errors raised, before any cell is
-    refined.
+    The domain is covered by cells of roughly ``grid_step``.  A cell with
+    an edge along which arg det turns by 0.45 pi or more is verified by an
+    adaptively sampled boundary winding and refined by bisection until
+    the center determinant drops below ZERO_TOL.  No cell of nonzero
+    corner winding k is missed: its four turns sum to 2 pi k, so one is at
+    least pi/2.  Zeros must be isolated at the grid resolution; a cluster
+    that never resolves raises instead of returning bad data.  The whole
+    grid is swept, and its errors raised, before any cell is refined.
     """
     cells = []
     for s_nodes, t_nodes, first, det in _det_blocks(patch, grid_step):
@@ -398,20 +410,7 @@ def locate_complex_points(
                 f"determinant vanishes exactly on a grid node of {patch.name}; "
                 "perturb grid_step"
             )
-        d00 = det[:-1, :-1]
-        d10 = det[1:, :-1]
-        d11 = det[1:, 1:]
-        d01 = det[:-1, 1:]
-        e = [
-            np.angle(d10 / d00),
-            np.angle(d11 / d10),
-            np.angle(d01 / d11),
-            np.angle(d00 / d01),
-        ]
-        total = sum(e)
-        quick = np.round(total / (2 * math.pi)).astype(int)
-        fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
-        for i, j in np.argwhere((quick != 0) | fast_edges) + (first, 0):
+        for i, j in _steep_cells(det) + (first, 0):
             cells.append(Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1]))
     results: list[LocatedComplexPoint] = []
     for cell in cells:

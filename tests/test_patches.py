@@ -408,6 +408,91 @@ def test_row_block_sweeps_match_the_meshgrid_sweeps(kind, epsilon, step, chunk):
         assert next(blocks, None) is None
 
 
+# ---------------------------------------------------------------------------
+# The steep-edge cell screen against the per-cell screen it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_screen(det):
+    """Reference: the per-cell screen, which flags a cell whose rounded
+    corner winding is nonzero or one of whose edges turns by 0.45 pi.
+    ``_steep_cells`` takes each turn from node args instead of neighbour
+    ratios, so the two can differ only on an edge that turns by 0.45 pi
+    to within a few ulps; none of the inputs below has one."""
+    d00 = det[:-1, :-1]
+    d10 = det[1:, :-1]
+    d11 = det[1:, 1:]
+    d01 = det[:-1, 1:]
+    e = [
+        np.angle(d10 / d00),
+        np.angle(d11 / d10),
+        np.angle(d01 / d11),
+        np.angle(d00 / d01),
+    ]
+    total = sum(e)
+    quick = np.round(total / (2 * math.pi)).astype(int)
+    fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
+    return np.argwhere((quick != 0) | fast_edges)
+
+
+_SCREEN_PATCHES = [
+    *((kind, eps) for kind in _SIGMA_KINDS for eps in (0.1, -0.07, 0.0714, 0.178)),
+    (MODEL_WEINSTEIN, None),
+    (MODEL_GRAPH_ELLIPTIC, None),
+    (MODEL_GRAPH_HYPERBOLIC, None),
+    ("conjugate_graph(3)", None),
+]
+
+
+@pytest.mark.parametrize("kind, epsilon", _SCREEN_PATCHES)
+def test_steep_edge_screen_selects_the_reference_cells_on_model_patches(kind, epsilon):
+    if kind == "conjugate_graph(3)":
+        patch = conjugate_graph(3)
+    else:
+        patch = model_patch(kind, epsilon)
+    flagged = 0
+    for step in (0.004, 0.013, 0.031, 0.05, 0.1):
+        for *_, det in patches._det_blocks(patch, step):
+            cells = patches._steep_cells(det)
+            assert np.array_equal(cells, _reference_screen(det))
+            flagged += len(cells)
+    # Only the totally real patches flag no cell at all.
+    assert (flagged == 0) == (kind in (MODEL_SIGMA_PLUS, MODEL_WEINSTEIN))
+
+
+def test_steep_edge_screen_selects_the_reference_cells_on_random_grids():
+    # Beyond about 10^+-150 the reference's neighbour ratios overflow and
+    # it means nothing; within 10^+-100 every ratio is finite.
+    # Phases spread over a random fraction of the circle give grids from
+    # a few flagged cells to nearly all.
+    flagged = total = 0
+    for k in range(256):
+        rng = np.random.default_rng(k)
+        shape = tuple(rng.integers(2, 24, size=2))
+        magnitude = 10.0 ** rng.uniform(-100, 100, size=shape)
+        spread = rng.uniform(0.1, 1) * math.pi
+        det = magnitude * np.exp(1j * rng.uniform(-spread, spread, size=shape))
+        cells = patches._steep_cells(det)
+        assert np.array_equal(cells, _reference_screen(det))
+        flagged += len(cells)
+        total += (shape[0] - 1) * (shape[1] - 1)
+    assert 0 < flagged < total
+
+
+def test_steep_edge_screen_pins_a_quarter_turn_cell_and_a_slow_grid():
+    # Winding 1 with every edge turning by exactly pi/2.
+    det = np.array([[1, -1j], [1j, -1]])
+    assert patches._steep_cells(det).tolist() == [[0, 0]]
+    assert _reference_screen(det).tolist() == [[0, 0]]
+    # arg det = a_i + b_j with neighbour steps of at most 0.44 pi: no cell.
+    rng = np.random.default_rng(0)
+    a = np.cumsum(rng.uniform(-0.44, 0.44, size=30)) * math.pi
+    b = np.cumsum(rng.uniform(-0.44, 0.44, size=40)) * math.pi
+    det = 10.0 ** rng.uniform(-3, 3, size=(30, 40)) * np.exp(1j * (a[:, None] + b))
+    assert len(patches._steep_cells(det)) == 0
+    assert len(_reference_screen(det)) == 0
+
+
 def _faulty_patch(fold=None, nan=None):
     """Totally real plane (tangents (1, 0) and (0, 1)) whose t-tangent
     turns R-dependent at s == fold[0] and t > fold[1], and whose tangent
