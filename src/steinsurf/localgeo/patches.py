@@ -1,32 +1,33 @@
 """Parametrized surface patches in C^2 and their complex points.
 
 A surface patch maps a 2-parameter domain into C^2.  Its complex points
-are the parameters where the tangent plane is a complex line, detected by
-the vanishing of the complex determinant of the two tangent vectors:
+are the parameters where the tangent plane is a complex line, the zeros
+of the complex determinant of the two tangent vectors:
 
     det = (dz/ds)(dw/dt) - (dz/dt)(dw/ds).
 
-For a graph w = f(z) with parameters (s, t) = (x, y) this determinant is
--2i df/dzbar, so its winding around an isolated zero is the classical
-index of the complex point relative to the parametrization.  The reported
-index is normalized by the orientation sign of the tangent complex line
-(Im of the ratio of the tangent vectors), which makes it independent of
-the direction the parametrization happens to wind; elliptic points come
-out +1 and hyperbolic ones -1 in any chart.
+Every patch carries det in closed form.  Where det != 0 the tangents are
+C-independent, so the patch immerses there.  At a located zero, central
+differences of the chart give the tangents: a zero where they are
+R-dependent is refused, and otherwise the winding of det around it times
+the orientation sign (Im of the ratio of the tangent vectors) is the
+index of the complex point in any chart, +1 elliptic and -1 hyperbolic.
 
-Model patches:
+Model patches, with a = sqrt|eps| e^(s+it):
 
 * ``Weinstein``: the immersed sphere (x, y, u) -> (x(1+2iu), y(1+2iu)) on
-  the unit sphere, in a spherical chart.  The chart map stays evaluable at
-  the poles t = +-pi/2 (both land on the double point (0, 0)), but the
-  sweep domain stops short of them because the spherical parametrization
-  itself degenerates there.
-* ``SigmaPlus`` / ``SigmaMinus``: the annuli {(x+iu)(y-+iv) = eps} that
-  replace a positive / negative double point.  SigmaPlus is totally real;
-  SigmaMinus has exactly four hyperbolic complex points, at s = 0 and
-  t = pi/4 + k pi/2.
-* ``GraphSpecialElliptic`` / ``GraphSpecialHyperbolic``: the graphs
-  w = z zbar and w = zbar^2.
+  the unit sphere, in a spherical chart; the sweep domain stops short of
+  the poles t = +-pi/2, where the chart degenerates (both land on the
+  double point).  det = -cos t (2 sin t - i)(4 sin^2 t - i sin t - 2)
+  has no real zero: the patch is totally real.
+* ``SigmaPlus`` / ``SigmaMinus``: the annuli {(x+iu)(y-+iv) = eps},
+  x + iu = a, that replace a positive / negative double point.
+  SigmaPlus has det = 2|eps| cosh 2s > 0, so it is totally real;
+  SigmaMinus has det = 2|eps| sinh 2s - 2i eps cos 2t, whose zeros are
+  its four hyperbolic complex points at s = 0, t = pi/4 + k pi/2.
+* Graphs w = f(z), z = s + it, have det = -2i df/dzbar: -2iz for
+  ``GraphSpecialElliptic`` (w = z zbar) and -2ip zbar^(p-1) for w = zbar^p
+  (``GraphSpecialHyperbolic`` is p = 2), each zero only at the origin.
 
 Chunk layout.  Both sweeps walk each domain rectangle's node grid
 through ``_det_blocks``, in blocks of whole rows (s fixed) of at most
@@ -38,9 +39,9 @@ order; the screen takes arg det once per node of a block.  The block is
 nodes at step 0.004, so a 2^13-node block is five rows and the shared
 rows would redo a fifth of them; such blocks measured no faster on the
 adaptive patch checks.  A block is evaluated on broadcast axes, the
-rows' s nodes as a column against the t nodes as a row, so a separable
-chart computes its factors once per axis and no meshgrid is built;
-memory is bounded by the block, not by the grid step.
+rows' s nodes as a column against the t nodes as a row, so a det of s
+or t alone (SigmaPlus, Weinstein) is computed once per axis and no
+meshgrid is built; memory is bounded by the block, not by the grid step.
 
 The nodes of a rectangle sit at lo + (k + 0.382) step on each axis, for
 k < count = max(floor((hi - lo) / step), 2), so the cells span
@@ -49,8 +50,8 @@ the low end and of 0.618 to 1.618 steps at the high end is in no cell,
 and a complex point there is never located.  Weinstein at step 0.05
 leaves 1.282 steps on s and 1.618 on t; sigma at 0.004 leaves 1.414
 steps at the top of t, so its periodic t-seam is an uncovered band of
-about 1.8 steps.  No model has a complex point in a margin: SigmaMinus's
-lie at s = 0, t = pi/4 + k pi/2, and the graphs' at the origin.
+about 1.8 steps.  No model has a complex point in a margin (see the
+zero sets above).
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ CIRCLE_WINDING_SAMPLES = 256
 MAX_WINDING_SAMPLES = 1 << 20
 # A bisection stops at a cell whose centre has |det| below this.
 ZERO_TOL = 1e-9
-IMMERSION_REL_TOL = 1e-12
+# Central-difference step, and least relative area, of the tangents at a
+# located zero (see _orientation_sign).
+TANGENT_STEP = 1e-6
 # Node budget of one domain rectangle's sweep grid, which bounds the
 # sweep's time (its memory is bounded by the row block); the finest grid
 # in use, Weinstein at step 0.004, has about 1.1e6 nodes.
@@ -106,17 +109,17 @@ class Rect:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Immersed patch with vectorized chart and tangent callables.
+    """Immersed patch with a vectorized chart and tangent determinant.
 
     ``chart`` maps parameter arrays (s, t) to complex arrays (z, w);
-    ``tangents`` returns the closed-form partial derivatives
-    (z_s, w_s, z_t, w_t) on the same arrays.
+    ``det`` returns the closed-form tangent determinant
+    z_s w_t - z_t w_s on arrays that broadcast like (s, t).
     """
 
     name: str
     chart: Callable
     domain: tuple[Rect, ...]
-    tangents: Callable
+    det: Callable
 
     def point(self, s: float, t: float) -> PointC2:
         z, w = self.chart(s, t)
@@ -124,36 +127,23 @@ class SurfacePatch:
 
 
 def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
-    """Complex determinant of the tangent pair over parameter arrays, in
-    the broadcast shape of ``s`` and ``t``.
-
-    A GeometryError names the first parameter, in row-major order of
-    that shape, with non-finite tangent data, or else the first where the
-    tangents fail to immerse.  A patch sweep checks one row block at a
-    time, so there the first offending block wins, and within it
-    non-finite data comes before a failure to immerse.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
+    """Tangent determinant over parameter arrays, in the broadcast shape
+    of ``s`` and ``t``.  A GeometryError names the first parameter, in
+    row-major order, where it is not finite; a patch sweep checks one row
+    block at a time, so there the first offending block wins."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     shape = np.broadcast(s, t).shape
-    # Tangents that overflow are refused as non-finite data just below.
+    # A determinant that overflows is refused as non-finite just below.
     with np.errstate(all="ignore"):
-        z_s, w_s, z_t, w_t = patch.tangents(s, t)
-        n_s = np.abs(z_s) ** 2 + np.abs(w_s) ** 2
-        n_t = np.abs(z_t) ** 2 + np.abs(w_t) ** 2
-        inner = np.real(z_s * np.conj(z_t) + w_s * np.conj(w_t))
-        gram = np.broadcast_to(n_s * n_t - inner**2, shape)
-        folded = gram <= IMMERSION_REL_TOL * n_s * n_t
-    # gram is finite only where both norms and their product are.
-    for bad, what in ((~np.isfinite(gram), "has non-finite tangent data"),
-                      (folded, "fails to immerse")):
-        if np.any(bad):
-            at = np.unravel_index(int(np.argmax(bad)), shape)
-            sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
-            raise GeometryError(f"patch {patch.name} {what} at (s, t) = ({sb}, {tb})")
-    # Freed here, so a block's peak is the check's or the product's, not both.
-    del n_s, n_t, inner, gram, folded
-    return np.broadcast_to(np.asarray(z_s * w_t - z_t * w_s, dtype=complex), shape)
+        det = np.broadcast_to(np.asarray(patch.det(s, t), dtype=complex), shape)
+    bad = ~np.isfinite(det)
+    if np.any(bad):
+        at = np.unravel_index(int(np.argmax(bad)), shape)
+        sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
+        raise GeometryError(
+            f"patch {patch.name} has non-finite tangent data at (s, t) = ({sb}, {tb})"
+        )
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +276,20 @@ def _subdivide(rect: Rect, fs: float, ft: float) -> list[Rect]:
     ]
 
 
+def _orientation_sign(patch: SurfacePatch, s: float, t: float) -> int:
+    """Sign of Im(lambda) for T_t = lambda T_s at a located zero of det,
+    with the tangents from central differences of the chart.  Only at a
+    zero of det can they be R-dependent; there the area Im(lambda)|T_s|^2
+    must exceed TANGENT_STEP (|T_s|^2 + |T_t|^2), or the zero is refused."""
+    h = TANGENT_STEP
+    zw = np.array(patch.chart(np.array([s + h, s - h, s, s]), np.array([t, t, t + h, t - h])))
+    d_s, d_t = zw[:, 0] - zw[:, 1], zw[:, 2] - zw[:, 3]  # about 2h T_s and 2h T_t
+    area = float(np.imag(np.vdot(d_s, d_t)))
+    if not abs(area) > h * float(np.vdot(d_s, d_s).real + np.vdot(d_t, d_t).real):
+        raise GeometryError(f"patch {patch.name} fails to immerse at (s, t) = ({s}, {t})")
+    return 1 if area > 0 else -1
+
+
 def _refine_zero(patch: SurfacePatch, cell: Rect, winding: int) -> list[LocatedComplexPoint]:
     """Shrink a cell with nonzero boundary winding down to its zeros."""
     found: list[LocatedComplexPoint] = []
@@ -294,14 +298,9 @@ def _refine_zero(patch: SurfacePatch, cell: Rect, winding: int) -> list[LocatedC
         rect, w, depth = stack.pop()
         sc = 0.5 * (rect.s0 + rect.s1)
         tc = 0.5 * (rect.t0 + rect.t1)
-        z_s, w_s, z_t, w_t = patch.tangents(np.asarray(sc), np.asarray(tc))
-        d = abs(complex(z_s * w_t - z_t * w_s))
+        d = abs(complex(det_arrays(patch, sc, tc)))
         if d < ZERO_TOL:
-            # Sign of Im(lambda) for T_t = lambda T_s at a complex point.
-            lam = (z_t * np.conj(z_s) + w_t * np.conj(w_s)) / (
-                np.abs(z_s) ** 2 + np.abs(w_s) ** 2
-            )
-            sign = 1 if float(np.imag(lam)) > 0 else -1
+            sign = _orientation_sign(patch, sc, tc)
             found.append(
                 LocatedComplexPoint(
                     s=float(sc),
@@ -430,7 +429,7 @@ def locate_complex_points(
     return deduped
 
 
-def min_abs_complex_det(patch: SurfacePatch, grid_step: float = 0.05) -> float:
+def min_abs_complex_det(patch: SurfacePatch, grid_step: float) -> float:
     """Minimum |det| over the sweep grid; a positive lower-bound witness
     that a patch is totally real at grid resolution."""
     best = math.inf
@@ -450,22 +449,18 @@ def _weinstein_chart(s, t):
     return ct * np.cos(s) * m, ct * np.sin(s) * m
 
 
-def _weinstein_tangents(s, t):
-    m = 1 + 2j * np.sin(t)
-    ct, st = np.cos(t), np.sin(t)
-    cs, ss = np.cos(s), np.sin(s)
-    radial = -st * m + 2j * ct * ct
-    return (-ct * ss * m, ct * cs * m, cs * radial, ss * radial)
+def _weinstein_det(s, t):
+    st = np.sin(t)
+    return -np.cos(t) * (2 * st - 1j) * (4 * st * st - 1j * st - 2)
 
 
-def _sigma_charts(epsilon: float, minus: bool):
+def _sigma_patch(kind: str, epsilon: float) -> SurfacePatch:
     root = math.sqrt(abs(epsilon))
+    minus = kind == MODEL_SIGMA_MINUS
 
-    def factors(s, t):
+    def chart(s, t):
         a = root * np.exp(s) * np.exp(1j * np.asarray(t, dtype=float))
-        return a, epsilon / a
-
-    def split(a, b):
+        b = epsilon / a
         z = np.real(a) + 1j * np.real(b)
         if minus:
             # a = x + iu, b = y + iv
@@ -473,46 +468,35 @@ def _sigma_charts(epsilon: float, minus: bool):
         # a = x + iu, b = y - iv
         return z, np.imag(a) - 1j * np.imag(b)
 
-    def chart(s, t):
-        return split(*factors(s, t))
+    def det(s, t):
+        if minus:
+            return 2 * abs(epsilon) * np.sinh(2 * s) - 2j * epsilon * np.cos(2 * t)
+        return 2 * abs(epsilon) * np.cosh(2 * s)
 
-    def tangents(s, t):
-        a, b = factors(s, t)
-        return (*split(a, -b), *split(1j * a, -1j * b))
-
-    return chart, tangents
+    return SurfacePatch(
+        name=kind, chart=chart, det=det, domain=(Rect(-0.75, 0.75, 0.0, 2 * math.pi),)
+    )
 
 
-def _graph_patch(name: str, f, f_s, f_t) -> SurfacePatch:
-    """Graph of w = f(z) over the parameter square [-1, 1]^2, z = s + it."""
+def _graph_patch(name: str, f, f_zbar) -> SurfacePatch:
+    """Graph of w = f(z) over the parameter square [-1, 1]^2, z = s + it;
+    its tangent determinant is -2i df/dzbar."""
     def chart(s, t):
         return np.asarray(s) + 1j * np.asarray(t), f(s, t)
 
-    def tangents(s, t):
-        shape = np.broadcast(s, t).shape
-        return (
-            np.ones(shape, dtype=complex),
-            f_s(s, t),
-            1j * np.ones(shape, dtype=complex),
-            f_t(s, t),
-        )
-
     return SurfacePatch(
-        name=name, chart=chart, tangents=tangents, domain=(Rect(-1.0, 1.0, -1.0, 1.0),)
+        name=name,
+        chart=chart,
+        det=lambda s, t: -2j * f_zbar(s, t),
+        domain=(Rect(-1.0, 1.0, -1.0, 1.0),),
     )
 
 
 def _conjugate_power_graph(name: str, p: int) -> SurfacePatch:
-    def f(s, t):
-        return (np.asarray(s) - 1j * np.asarray(t)) ** p
+    def zbar(s, t):
+        return np.asarray(s) - 1j * np.asarray(t)
 
-    def f_s(s, t):
-        return p * (np.asarray(s) - 1j * np.asarray(t)) ** (p - 1)
-
-    def f_t(s, t):
-        return -1j * p * (np.asarray(s) - 1j * np.asarray(t)) ** (p - 1)
-
-    return _graph_patch(name, f, f_s, f_t)
+    return _graph_patch(name, lambda s, t: zbar(s, t) ** p, lambda s, t: p * zbar(s, t) ** (p - 1))
 
 
 def conjugate_graph(power: int) -> SurfacePatch:
@@ -527,28 +511,17 @@ def model_patch(kind: str, epsilon: float | None = None) -> SurfacePatch:
     if kind in (MODEL_SIGMA_PLUS, MODEL_SIGMA_MINUS):
         if epsilon is None or epsilon == 0:
             raise GeometryError(f"{kind} requires a nonzero epsilon")
-        chart, tangents = _sigma_charts(float(epsilon), minus=(kind == MODEL_SIGMA_MINUS))
-        return SurfacePatch(
-            name=kind,
-            chart=chart,
-            tangents=tangents,
-            domain=(Rect(-0.75, 0.75, 0.0, 2 * math.pi),),
-        )
+        return _sigma_patch(kind, float(epsilon))
     if epsilon is not None:
         raise GeometryError(f"{kind} does not take an epsilon parameter")
     if kind == MODEL_WEINSTEIN:
-        return SurfacePatch(
-            name=kind,
-            chart=_weinstein_chart,
-            tangents=_weinstein_tangents,
-            domain=(Rect(0.0, 2 * math.pi, -1.45, 1.45),),
-        )
+        domain = (Rect(0.0, 2 * math.pi, -1.45, 1.45),)
+        return SurfacePatch(name=kind, chart=_weinstein_chart, det=_weinstein_det, domain=domain)
     if kind == MODEL_GRAPH_ELLIPTIC:
         return _graph_patch(
             kind,
             lambda s, t: np.asarray(s) ** 2 + np.asarray(t) ** 2 + 0j,
-            lambda s, t: 2 * np.asarray(s) + 0j,
-            lambda s, t: 2 * np.asarray(t) + 0j,
+            lambda s, t: np.asarray(s) + 1j * np.asarray(t),
         )
     if kind == MODEL_GRAPH_HYPERBOLIC:
         return _conjugate_power_graph(kind, 2)

@@ -402,7 +402,7 @@ def _suite_windings(radius: float = 0.5) -> list[dict]:
 def _totally_real(name: str, patch, grid_step: float) -> dict:
     """No complex point on the sweep grid and a positive min |det|."""
     points = locate_complex_points(patch, grid_step=grid_step)
-    floor = min_abs_complex_det(patch)
+    floor = min_abs_complex_det(patch, grid_step)
     cert = Certificate(not points and floor > 0, RULE_WINDING, (Witness("min_abs_det", floor),))
     return _check_entry(name, cert)
 

@@ -294,7 +294,7 @@ def test_criterion_08_complex_point_location():
         patch = model_patch(kind, epsilon=eps)
         if locate_complex_points(patch, grid_step=0.1):
             problems.append(f"{kind}: unexpected complex points")
-        if min_abs_complex_det(patch) <= 0:
+        if min_abs_complex_det(patch, grid_step=0.05) <= 0:
             problems.append(f"{kind}: no positive determinant floor")
 
     windings = {

@@ -344,7 +344,12 @@ def test_overflowing_tangents_are_a_quiet_task_error(suite, params, capsys):
     assert not caught
     assert not result.passed
     (value,) = params.values()
-    assert _SUBNORMAL_LOOP_ERRORS.get(value, "non-finite tangent data") in result.details["error"]
+    expected = _SUBNORMAL_LOOP_ERRORS.get(value, "non-finite tangent data")
+    if suite == "sigma_handles":
+        # Its chart and det stay finite (|det| <= 4.3e300), so bisection
+        # never gets |det| below ZERO_TOL and runs out of splits.
+        expected = "could not subdivide around"
+    assert expected in result.details["error"]
 
 
 @pytest.mark.parametrize("params", [

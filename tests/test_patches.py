@@ -74,29 +74,13 @@ def _antiholomorphic_cubic():
     """Graph of zbar^3 - 0.25 zbar, with two simple complex points on the
     real axis at s = +-1/(2 sqrt(3))."""
 
-    def zeta(s, t):
+    def zbar(s, t):
         return np.asarray(s) - 1j * np.asarray(t)
 
-    def f(s, t):
-        c = zeta(s, t)
-        return c ** 3 - 0.25 * c
-
-    def f_s(s, t):
-        return 3 * zeta(s, t) ** 2 - 0.25
-
-    def f_t(s, t):
-        return -1j * (3 * zeta(s, t) ** 2 - 0.25)
-
-    def chart(s, t):
-        return np.asarray(s) + 1j * np.asarray(t), f(s, t)
-
-    def tangents(s, t):
-        one = np.ones(np.broadcast(s, t).shape, dtype=complex)
-        return one, f_s(s, t), 1j * one, f_t(s, t)
-
-    return SurfacePatch(
-        name="CubicMinusQuarter", chart=chart, tangents=tangents,
-        domain=(Rect(-1, 1, -1, 1),),
+    return patches._graph_patch(
+        "CubicMinusQuarter",
+        lambda s, t: zbar(s, t) ** 3 - 0.25 * zbar(s, t),
+        lambda s, t: 3 * zbar(s, t) ** 2 - 0.25,
     )
 
 
@@ -126,36 +110,195 @@ def test_located_point_serialization():
 
 
 # ---------------------------------------------------------------------------
+# Closed-form determinants against the tangent pairs
+# ---------------------------------------------------------------------------
+
+
+_SIGMA_KINDS = (MODEL_SIGMA_MINUS, MODEL_SIGMA_PLUS)
+
+
+def _reference_tangents(name, epsilon=None):
+    """Reference: a model patch's closed-form tangent pair (z_s, w_s) and
+    (z_t, w_t) as a callable of (s, t); det is z_s w_t - z_t w_s."""
+    if name == MODEL_WEINSTEIN:
+
+        def tangents(s, t):
+            m = 1 + 2j * np.sin(t)
+            ct, st = np.cos(t), np.sin(t)
+            cs, ss = np.cos(s), np.sin(s)
+            radial = -st * m + 2j * ct * ct
+            return (-ct * ss * m, ct * cs * m, cs * radial, ss * radial)
+
+        return tangents
+    if name in _SIGMA_KINDS:
+        root = math.sqrt(abs(epsilon))
+
+        def split(a, b):
+            z = np.real(a) + 1j * np.real(b)
+            if name == MODEL_SIGMA_MINUS:
+                return z, np.imag(a) + 1j * np.imag(b)
+            return z, np.imag(a) - 1j * np.imag(b)
+
+        def tangents(s, t):
+            a = root * np.exp(s) * np.exp(1j * np.asarray(t, dtype=float))
+            b = epsilon / a
+            return (*split(a, -b), *split(1j * a, -1j * b))
+
+        return tangents
+    # Graphs w = f(z): T_s = (1, f_s) and T_t = (i, f_t).
+    f_s = {
+        MODEL_GRAPH_ELLIPTIC: lambda z: 2 * np.real(z) + 0j,
+        MODEL_GRAPH_HYPERBOLIC: lambda z: 2 * np.conj(z),
+        "ConjugatePowerGraph3": lambda z: 3 * np.conj(z) ** 2,
+        "CubicMinusQuarter": lambda z: 3 * np.conj(z) ** 2 - 0.25,
+    }[name]
+    f_t = {
+        MODEL_GRAPH_ELLIPTIC: lambda z: 2 * np.imag(z) + 0j,
+        MODEL_GRAPH_HYPERBOLIC: lambda z: -2j * np.conj(z),
+        "ConjugatePowerGraph3": lambda z: -3j * np.conj(z) ** 2,
+        "CubicMinusQuarter": lambda z: -1j * (3 * np.conj(z) ** 2 - 0.25),
+    }[name]
+
+    def tangents(s, t):
+        z = np.asarray(s) + 1j * np.asarray(t)
+        one = np.ones(z.shape, dtype=complex)
+        return one, f_s(z), 1j * one, f_t(z)
+
+    return tangents
+
+
+_CLOSED_FORM_PATCHES = [
+    *((kind, eps) for kind in _SIGMA_KINDS for eps in (0.1, -0.07)),
+    (MODEL_WEINSTEIN, None),
+    (MODEL_GRAPH_ELLIPTIC, None),
+    (MODEL_GRAPH_HYPERBOLIC, None),
+    ("ConjugatePowerGraph3", None),
+    ("CubicMinusQuarter", None),
+]
+
+
+def _named_patch(kind, epsilon):
+    if kind == "ConjugatePowerGraph3":
+        return conjugate_graph(3)
+    if kind == "CubicMinusQuarter":
+        return _antiholomorphic_cubic()
+    return model_patch(kind, epsilon)
+
+
+@pytest.mark.parametrize("kind, epsilon", _CLOSED_FORM_PATCHES)
+def test_closed_form_dets_match_the_reference_tangents(kind, epsilon):
+    patch = _named_patch(kind, epsilon)
+    (rect,) = patch.domain
+    rng = np.random.default_rng(7)
+    s = rng.uniform(rect.s0, rect.s1, size=1000)
+    t = rng.uniform(rect.t0, rect.t1, size=1000)
+    det = det_arrays(patch, s, t)
+    z_s, w_s, z_t, w_t = _reference_tangents(kind, epsilon)(s, t)
+    reference = z_s * w_t - z_t * w_s
+    assert np.all(np.abs(det - reference) <= 1e-15 * np.maximum(np.abs(reference), 1))
+
+
+def test_closed_form_dets_are_identities_of_the_charts():
+    import sympy
+    s, t = sympy.symbols("s t", real=True)
+    sin, cos, i = sympy.sin, sympy.cos, sympy.I
+
+    def vanishes(z, w, det):
+        tangent_det = sympy.diff(z, s) * sympy.diff(w, t) - sympy.diff(z, t) * sympy.diff(w, s)
+        return sympy.simplify(sympy.expand((tangent_det - det).rewrite(sympy.exp))) == 0
+
+    m = 1 + 2 * i * sin(t)
+    assert vanishes(
+        cos(t) * cos(s) * m,
+        cos(t) * sin(s) * m,
+        -cos(t) * (2 * sin(t) - i) * (4 * sin(t) ** 2 - i * sin(t) - 2),
+    )
+    for eps in (sympy.Rational(1, 10), sympy.Rational(-7, 100)):
+        a = sympy.sqrt(abs(eps)) * sympy.exp(s) * sympy.exp(i * t)
+        b = eps / a
+        z = sympy.re(a) + i * sympy.re(b)
+        minus = 2 * abs(eps) * sympy.sinh(2 * s) - 2 * i * eps * cos(2 * t)
+        assert vanishes(z, sympy.im(a) + i * sympy.im(b), minus)
+        assert vanishes(z, sympy.im(a) - i * sympy.im(b), 2 * abs(eps) * sympy.cosh(2 * s))
+
+
+@pytest.mark.parametrize("kind, epsilon", [
+    *((MODEL_SIGMA_MINUS, eps) for eps in (0.1, -0.07, -0.05)),
+    (MODEL_GRAPH_ELLIPTIC, None),
+    (MODEL_GRAPH_HYPERBOLIC, None),
+    ("CubicMinusQuarter", None),
+])
+def test_orientation_signs_match_the_reference_tangents(kind, epsilon):
+    patch = _named_patch(kind, epsilon)
+    found = locate_complex_points(patch, grid_step=0.1)
+    assert found
+    for hit in found:
+        z_s, w_s, z_t, w_t = _reference_tangents(kind, epsilon)(hit.s, hit.t)
+        area = np.imag(z_t * np.conj(z_s) + w_t * np.conj(w_s))
+        assert hit.orientation_sign == (1 if area > 0 else -1)
+        assert hit.index == hit.orientation_sign * hit.raw_winding
+
+
+@pytest.mark.parametrize("epsilon", [0.1, -0.07, -0.05])
+def test_located_det_abs_matches_an_mpmath_determinant(epsilon):
+    import mpmath
+    found = locate_complex_points(model_patch(MODEL_SIGMA_MINUS, epsilon), grid_step=0.1)
+    assert len(found) == 4
+    with mpmath.workdps(50):
+        for hit in found:
+            # T_s = (a, -b) and T_t = (ia, -ib) in the split coordinates.
+            a = mpmath.sqrt(abs(mpmath.mpf(epsilon))) * mpmath.exp(
+                mpmath.mpc(hit.s, hit.t)
+            )
+            b = mpmath.mpf(epsilon) / a
+            z_s, w_s = a.real - 1j * b.real, a.imag - 1j * b.imag
+            z_t, w_t = -a.imag + 1j * b.imag, a.real - 1j * b.real
+            exact = abs(z_s * w_t - z_t * w_s)
+            assert abs(hit.det_abs - exact) <= 1e-12 * exact
+
+
+# ---------------------------------------------------------------------------
 # Degenerate inputs
 # ---------------------------------------------------------------------------
 
 
 def test_non_immersed_chart_is_rejected():
-    def tangents(s, t):
-        zero = np.zeros(np.broadcast(s, t).shape, dtype=complex)
-        return 2 * np.asarray(s) + zero, zero, zero, 1 + zero
-
+    # det = 2s vanishes on the whole fold line s = 0, so no cell's
+    # boundary winding settles.
     fold = SurfacePatch(
         name="fold",
         chart=lambda s, t: (np.asarray(s) ** 2 + 0j, np.asarray(t) + 0j),
         domain=(Rect(-1, 1, -1, 1),),
-        tangents=tangents,
+        det=lambda s, t: 2 * np.asarray(s) + 0j,
     )
     assert complex(det_arrays(fold, 0.5, 0.0)) == pytest.approx(1.0)
     with pytest.raises(GeometryError):
-        det_arrays(fold, 0.0, 0.0)
+        locate_complex_points(fold)
+
+
+def test_a_zero_with_r_dependent_tangents_is_not_a_complex_point():
+    # (z, w) = (s, st + i t^2/2) has det = s + it, an isolated zero of
+    # winding 1 at the origin, where T_t = (0, s + it) vanishes.
+    patch = SurfacePatch(
+        name="vanishing-t-tangent",
+        chart=lambda s, t: (
+            np.asarray(s) + 0j,
+            np.asarray(s) * np.asarray(t) + 0.5j * np.asarray(t) ** 2,
+        ),
+        domain=(Rect(-1, 1, -1, 1),),
+        det=lambda s, t: np.asarray(s) + 1j * np.asarray(t),
+    )
+    assert winding_index(patch, (0, 0), 0.5) == 1
+    with pytest.raises(GeometryError, match="vanishing-t-tangent fails to immerse"):
+        locate_complex_points(patch, 0.1)
 
 
 def test_complex_curve_has_no_isolated_points():
-    def tangents(s, t):
-        one = np.ones(np.broadcast(s, t).shape, dtype=complex)
-        return one, one, 1j * one, 1j * one
-
     line = SurfacePatch(
         name="diagonal-line",
         chart=lambda s, t: (np.asarray(s) + 1j * np.asarray(t),) * 2,
         domain=(Rect(-1, 1, -1, 1),),
-        tangents=tangents,
+        det=lambda s, t: np.zeros(np.broadcast(s, t).shape, dtype=complex),
     )
     # immersed, but complex everywhere: the sweep must refuse to answer
     with pytest.raises(GeometryError):
@@ -348,7 +491,6 @@ def _outcome(sweep, *args):
         return "error", str(exc)
 
 
-_SIGMA_KINDS = (MODEL_SIGMA_MINUS, MODEL_SIGMA_PLUS)
 _TWO_RECTS = "TwoRectElliptic"
 
 
@@ -493,27 +635,21 @@ def test_steep_edge_screen_pins_a_quarter_turn_cell_and_a_slow_grid():
     assert len(_reference_screen(det)) == 0
 
 
-def _faulty_patch(fold=None, nan=None):
-    """Totally real plane (tangents (1, 0) and (0, 1)) whose t-tangent
-    turns R-dependent at s == fold[0] and t > fold[1], and whose tangent
-    data is NaN at s == nan[0] and t > nan[1]."""
+def _faulty_patch(*nans):
+    """Totally real plane (z, w) = (s, t), det = 1, whose determinant is
+    NaN at s == s0 and t > t0 for each (s0, t0) in ``nans``."""
 
-    def tangents(s, t):
+    def det(s, t):
         s, t = np.broadcast_arrays(s, t)
-        one = np.ones(s.shape, dtype=complex)
-        z_s, w_s, z_t, w_t = one, 0 * one, 0 * one, one.copy()
-        if fold is not None:
-            folded = (s == fold[0]) & (t > fold[1])
-            z_t = np.where(folded, 1 + 0j, z_t)
-            w_t = np.where(folded, 0j, w_t)
-        if nan is not None:
-            z_s = np.where((s == nan[0]) & (t > nan[1]), np.nan, z_s)
-        return z_s, w_s, z_t, w_t
+        out = np.ones(s.shape, dtype=complex)
+        for s0, t0 in nans:
+            out[(s == s0) & (t > t0)] = np.nan
+        return out
 
     return SurfacePatch(
         name="faulty",
         chart=lambda s, t: (np.asarray(s) + 0j, np.asarray(t) + 0j),
-        tangents=tangents,
+        det=det,
         domain=(Rect(-1, 1, -1, 1),),
     )
 
@@ -533,8 +669,8 @@ def _whole_grid_error(patch):
 @pytest.mark.parametrize("sweep", [locate_complex_points, min_abs_complex_det])
 def test_row_block_sweeps_name_the_failing_node(monkeypatch, sweep):
     monkeypatch.setattr(patches, "DEFAULT_CHUNK", _CHUNK)
-    patch = _faulty_patch(fold=(_S[10], _T[6]))
-    message = f"fails to immerse at (s, t) = ({_S[10]}, {_T[7]})"
+    patch = _faulty_patch((_S[10], _T[6]))
+    message = f"has non-finite tangent data at (s, t) = ({_S[10]}, {_T[7]})"
     assert message in _whole_grid_error(patch)
     with pytest.raises(GeometryError) as chunked:
         sweep(patch, _STEP)
@@ -544,26 +680,20 @@ def test_row_block_sweeps_name_the_failing_node(monkeypatch, sweep):
 @pytest.mark.parametrize("sweep", [locate_complex_points, min_abs_complex_det])
 def test_row_block_sweeps_report_the_first_failing_block(monkeypatch, sweep):
     monkeypatch.setattr(patches, "DEFAULT_CHUNK", _CHUNK)
-    # A fold in an earlier block wins over non-finite data in a later one,
-    # where the whole grid reports the non-finite data.
-    patch = _faulty_patch(fold=(_S[4], _T[15]), nan=(_S[10], _T[0]))
-    assert "has non-finite tangent data" in _whole_grid_error(patch)
-    with pytest.raises(GeometryError, match="fails to immerse") as chunked:
-        sweep(patch, _STEP)
-    assert f"({_S[4]}, {_T[16]})" in str(chunked.value)
-    # Within one block, non-finite data still comes first.
-    patch = _faulty_patch(fold=(_S[10], _T[2]), nan=(_S[10], _T[12]))
+    # Non-finite data in an earlier block wins over more of it in a later
+    # one, although the later one's starts at a lower t.
+    patch = _faulty_patch((_S[4], _T[15]), (_S[10], _T[0]))
     with pytest.raises(GeometryError) as chunked:
         sweep(patch, _STEP)
     assert str(chunked.value) == _whole_grid_error(patch)
-    assert f"has non-finite tangent data at (s, t) = ({_S[10]}, {_T[13]})" in str(
+    assert f"has non-finite tangent data at (s, t) = ({_S[4]}, {_T[16]})" in str(
         chunked.value
     )
 
 
 # At step 0.004 the whole-grid sweep of Weinstein peaked at about 156 MB
-# of traced allocations; a row block keeps the peak near 11-13 MB at any
-# step.
+# of traced allocations; a row block of closed-form dets keeps the peak
+# near 1.6-2.5 MiB at any step.
 @pytest.mark.parametrize("step", [0.004, 0.002])
 @pytest.mark.parametrize(
     "kind, epsilon", [(MODEL_WEINSTEIN, None), (MODEL_SIGMA_MINUS, 0.1)]
