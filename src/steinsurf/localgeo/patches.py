@@ -72,7 +72,7 @@ DEFAULT_CHUNK = 1 << 16
 # edge (where boundary windings would be ill-defined).
 GRID_OFFSET_FRACTION = 0.381966011250105
 # Sample counts a winding loop starts from, on a cell boundary and on a
-# parameter circle; _loop_winding doubles them up to MAX_WINDING_SAMPLES.
+# parameter circle; _windings doubles them up to MAX_WINDING_SAMPLES.
 MIN_WINDING_SAMPLES = 64
 CIRCLE_WINDING_SAMPLES = 256
 MAX_WINDING_SAMPLES = 1 << 20
@@ -151,35 +151,51 @@ def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _loop_winding(patch: SurfacePatch, sample_loop: Callable, n: int) -> int:
-    """Winding of the tangent determinant along a closed parameter loop.
+def _windings(patch: SurfacePatch, sample: Callable, count: int, n: int) -> list[int]:
+    """Windings of the tangent determinant along ``count`` closed loops.
 
-    ``sample_loop(n)`` returns n loop points (closed implicitly).  Sample
-    counts double from ``n`` until every argument increment is below
-    pi/2, which makes the accumulated total unambiguous.
+    ``sample(rows, n)`` returns s and t arrays with one row of n points
+    per loop in ``rows``, each loop closed implicitly.  A loop's sample
+    count doubles from ``n`` until every argument increment on it is below
+    pi/2, which makes its accumulated total unambiguous.  Pending loops
+    share det calls of at most MAX_WINDING_SAMPLES samples; each row gets
+    the checks it gets wound alone, and only unresolved rows double.  So a
+    loop's winding or error is the one it gives alone, and the call raises
+    exactly when some loop does.
     """
-    while True:
-        s, t = sample_loop(n)
-        det = det_arrays(patch, s, t)
-        mags = np.abs(det)
-        if np.min(mags) <= 1e-9 * np.max(mags):
-            raise GeometryError(
-                "tangent determinant vanishes on the loop; move or shrink it"
-            )
-        # Subnormal determinants overflow here; the checks after it refuse them.
-        with np.errstate(all="ignore"):
-            steps = np.angle(np.roll(det, -1) / det)
-        if np.max(np.abs(steps)) < 0.5 * math.pi:
-            total = float(np.sum(steps)) / (2 * math.pi)
-            winding = round(total)
-            if abs(total - winding) > 0.01:
-                raise GeometryError(
-                    f"winding total {total} is not an integer; loop too close to a zero"
-                )
-            return int(winding)
-        if n >= MAX_WINDING_SAMPLES:
-            raise GeometryError("winding did not stabilize; zero too close to the loop")
+    windings = [0] * count
+    pending = list(range(count))
+    while pending:
+        unresolved = []
+        per_call = MAX_WINDING_SAMPLES // n
+        for first in range(0, len(pending), per_call):
+            rows = pending[first:first + per_call]
+            det = det_arrays(patch, *sample(rows, n))
+            mags = np.abs(det)
+            vanish = np.min(mags, axis=1) <= 1e-9 * np.max(mags, axis=1)
+            # Subnormal determinants overflow here; the checks after it refuse them.
+            with np.errstate(all="ignore"):
+                steps = np.angle(np.roll(det, -1, axis=1) / det)
+            settled = np.max(np.abs(steps), axis=1) < 0.5 * math.pi
+            for k, row, gone, done in zip(rows, steps, vanish, settled):
+                if gone:
+                    raise GeometryError(
+                        "tangent determinant vanishes on the loop; move or shrink it"
+                    )
+                if done:
+                    total = float(np.sum(row)) / (2 * math.pi)
+                    windings[k] = round(total)
+                    if abs(total - windings[k]) > 0.01:
+                        raise GeometryError(
+                            f"winding total {total} is not an integer; loop too close to a zero"
+                        )
+                elif n >= MAX_WINDING_SAMPLES:
+                    raise GeometryError("winding did not stabilize; zero too close to the loop")
+                else:
+                    unresolved.append(k)
+        pending = unresolved
         n *= 2
+    return windings
 
 
 def winding_index(patch: SurfacePatch, center: tuple[float, float], radius: float) -> int:
@@ -192,38 +208,26 @@ def winding_index(patch: SurfacePatch, center: tuple[float, float], radius: floa
         raise GeometryError(f"radius must be positive, got {radius}")
     s0, t0 = center
 
-    def sample_loop(n):
+    def sample(rows, n):
         ang = 2 * math.pi * np.arange(n) / n
-        return s0 + radius * np.cos(ang), t0 + radius * np.sin(ang)
+        return s0 + radius * np.cos(ang)[None], t0 + radius * np.sin(ang)[None]
 
-    return _loop_winding(patch, sample_loop, CIRCLE_WINDING_SAMPLES)
+    return _windings(patch, sample, 1, CIRCLE_WINDING_SAMPLES)[0]
 
 
-def _rect_loop(rect: Rect) -> Callable:
-    corners = np.array(
-        [
-            [rect.s0, rect.t0],
-            [rect.s1, rect.t0],
-            [rect.s1, rect.t1],
-            [rect.s0, rect.t1],
-        ]
-    )
+def _rect_windings(patch: SurfacePatch, rects: list[Rect]) -> list[int]:
+    """Windings of the tangent determinant around rectangles, each edge
+    a -> b, counterclockwise from (s0, t0), sampled as a + frac (b - a)."""
+    corners = np.array([[[r.s0, r.t0], [r.s1, r.t0], [r.s1, r.t1], [r.s0, r.t1]] for r in rects])
 
-    def sample_loop(n):
+    def sample(rows, n):
         m = max(n // 4, 16)
-        pieces = []
-        for k in range(4):
-            a, b = corners[k], corners[(k + 1) % 4]
-            frac = np.arange(m)[:, None] / m
-            pieces.append(a + frac * (b - a))
-        pts = np.vstack(pieces)
-        return pts[:, 0], pts[:, 1]
+        a = corners[rows, :, None]
+        frac = np.arange(m)[:, None] / m
+        pts = (a + frac * (np.roll(a, -1, axis=1) - a)).reshape(len(rows), -1, 2)
+        return pts[..., 0], pts[..., 1]
 
-    return sample_loop
-
-
-def _rect_winding(patch: SurfacePatch, rect: Rect) -> int:
-    return _loop_winding(patch, _rect_loop(rect), MIN_WINDING_SAMPLES)
+    return _windings(patch, sample, len(rects), MIN_WINDING_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +295,8 @@ def _orientation_sign(patch: SurfacePatch, s: float, t: float) -> int:
 
 
 def _refine_zero(patch: SurfacePatch, cell: Rect, winding: int) -> list[LocatedComplexPoint]:
-    """Shrink a cell with nonzero boundary winding down to its zeros."""
+    """Shrink a cell with nonzero boundary winding down to its zeros; the
+    four sub-cells of a split are wound together, in one call."""
     found: list[LocatedComplexPoint] = []
     stack = [(cell, winding, 0)]
     while stack:
@@ -321,7 +326,7 @@ def _refine_zero(patch: SurfacePatch, cell: Rect, winding: int) -> list[LocatedC
         for fs, ft in _SPLIT_FRACTIONS:
             try:
                 subcells = _subdivide(rect, fs, ft)
-                windings = [_rect_winding(patch, sub) for sub in subcells]
+                windings = _rect_windings(patch, subcells)
                 break
             except GeometryError:
                 continue
@@ -413,7 +418,7 @@ def locate_complex_points(
             cells.append(Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1]))
     results: list[LocatedComplexPoint] = []
     for cell in cells:
-        w = _rect_winding(patch, cell)
+        (w,) = _rect_windings(patch, [cell])
         if w != 0:
             results.extend(_refine_zero(patch, cell, w))
 

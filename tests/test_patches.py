@@ -462,7 +462,7 @@ def _meshgrid_locate(patch, grid_step):
         fast_edges = np.max(np.abs(np.stack(e)), axis=0) >= 0.45 * math.pi
         for i, j in np.argwhere((quick != 0) | fast_edges):
             cell = Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1])
-            w = patches._rect_winding(patch, cell)
+            w = _reference_rect_winding(patch, cell)
             if w != 0:
                 results.extend(patches._refine_zero(patch, cell, w))
     results.sort(key=lambda r: (r.s, r.t))
@@ -633,6 +633,192 @@ def test_steep_edge_screen_pins_a_quarter_turn_cell_and_a_slow_grid():
     det = 10.0 ** rng.uniform(-3, 3, size=(30, 40)) * np.exp(1j * (a[:, None] + b))
     assert len(patches._steep_cells(det)) == 0
     assert len(_reference_screen(det)) == 0
+
+
+# ---------------------------------------------------------------------------
+# The batched windings against the one-by-one windings they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_loop_winding(patch, sample_loop, n):
+    """Reference: the one-by-one loop winding, one det call per loop and
+    sample count."""
+    while True:
+        s, t = sample_loop(n)
+        det = det_arrays(patch, s, t)
+        mags = np.abs(det)
+        if np.min(mags) <= 1e-9 * np.max(mags):
+            raise GeometryError(
+                "tangent determinant vanishes on the loop; move or shrink it"
+            )
+        with np.errstate(all="ignore"):
+            steps = np.angle(np.roll(det, -1) / det)
+        if np.max(np.abs(steps)) < 0.5 * math.pi:
+            total = float(np.sum(steps)) / (2 * math.pi)
+            winding = round(total)
+            if abs(total - winding) > 0.01:
+                raise GeometryError(
+                    f"winding total {total} is not an integer; loop too close to a zero"
+                )
+            return int(winding)
+        if n >= patches.MAX_WINDING_SAMPLES:
+            raise GeometryError("winding did not stabilize; zero too close to the loop")
+        n *= 2
+
+
+def _reference_rect_loop(rect):
+    corners = np.array(
+        [
+            [rect.s0, rect.t0],
+            [rect.s1, rect.t0],
+            [rect.s1, rect.t1],
+            [rect.s0, rect.t1],
+        ]
+    )
+
+    def sample_loop(n):
+        m = max(n // 4, 16)
+        pieces = []
+        for k in range(4):
+            a, b = corners[k], corners[(k + 1) % 4]
+            frac = np.arange(m)[:, None] / m
+            pieces.append(a + frac * (b - a))
+        pts = np.vstack(pieces)
+        return pts[:, 0], pts[:, 1]
+
+    return sample_loop
+
+
+def _reference_rect_winding(patch, rect):
+    return _reference_loop_winding(
+        patch, _reference_rect_loop(rect), patches.MIN_WINDING_SAMPLES
+    )
+
+
+def _reference_winding_index(patch, center, radius):
+    if radius <= 0:
+        raise GeometryError(f"radius must be positive, got {radius}")
+    s0, t0 = center
+
+    def sample_loop(n):
+        ang = 2 * math.pi * np.arange(n) / n
+        return s0 + radius * np.cos(ang), t0 + radius * np.sin(ang)
+
+    return _reference_loop_winding(patch, sample_loop, patches.CIRCLE_WINDING_SAMPLES)
+
+
+def _batch_matches_the_reference(patch, rects):
+    """The batch raises exactly when some rect raises on its own, and
+    otherwise returns the rects' own windings; returns whether it raised."""
+    own = [_outcome(_reference_rect_winding, patch, rect) for rect in rects]
+    batch = _outcome(patches._rect_windings, patch, rects)
+    if any(status == "error" for status, _ in own):
+        assert batch[0] == "error"
+        assert batch[1] in {message for status, message in own if status == "error"}
+        return True
+    assert batch == ("ok", [w for _, w in own])
+    return False
+
+
+@pytest.mark.parametrize("kind, epsilon", [
+    (MODEL_SIGMA_MINUS, 0.1), (MODEL_SIGMA_MINUS, -0.07),
+    (MODEL_GRAPH_ELLIPTIC, None), (MODEL_GRAPH_HYPERBOLIC, None), ("cubic", None),
+])
+def test_batched_windings_match_the_reference_at_every_split(monkeypatch, kind, epsilon):
+    patch = _antiholomorphic_cubic() if kind == "cubic" else model_patch(kind, epsilon)
+    batched = patches._rect_windings
+    calls = []
+
+    def recording(patch, rects):
+        calls.append(list(rects))
+        return batched(patch, rects)
+
+    monkeypatch.setattr(patches, "_rect_windings", recording)
+    found = locate_complex_points(patch, grid_step=0.05)
+    monkeypatch.undo()
+    # A 0.05 cell takes about 20 splits to bring |det| below ZERO_TOL.
+    assert found
+    splits = [rects for rects in calls if len(rects) == 4]
+    assert len(splits) >= 20 * len(found)
+    for rects in calls:
+        _batch_matches_the_reference(patch, rects)
+
+
+def _random_rect(rng):
+    """A rect around or away from the elliptic graph's zero at the origin
+    (settles at 64 samples), one with an edge 10^-1.5 to 10^-3 of its
+    width from the zero (settles at up to a few thousand), or one with a
+    corner on the zero (raises)."""
+    w, h = rng.uniform(0.05, 0.5, size=2)
+    kind = rng.choice(3, p=[0.45, 0.45, 0.1])
+    if kind == 0:
+        s0, t0 = rng.uniform(-1, 1, size=2)
+        if rng.random() < 0.5:
+            s0, t0 = -rng.uniform(0.2, 0.8) * w, -rng.uniform(0.2, 0.8) * h
+    elif kind == 1:
+        d = w * 10 ** -rng.uniform(1.5, 3) * rng.choice([-1, 1])
+        s0, t0 = -rng.uniform(0.1, 0.9) * w, d
+        if rng.random() < 0.5:
+            s0, t0 = t0, s0
+    else:
+        s0, t0 = (0.0, 0.0) if rng.random() < 0.5 else (-w, -h)
+    return Rect(s0, s0 + w, t0, t0 + h)
+
+
+def test_batched_windings_match_the_reference_on_random_rects():
+    base = model_patch(MODEL_GRAPH_ELLIPTIC)
+    sizes = []
+
+    def det(s, t):
+        sizes.append(np.size(s))
+        return base.det(s, t)
+
+    patch = dataclasses.replace(base, det=det)
+    raised, settled_at = 0, set()
+    for k in range(200):
+        rng = np.random.default_rng(k)
+        rects = [_random_rect(rng) for _ in range(rng.integers(1, 7))]
+        for rect in rects:
+            sizes.clear()
+            if _outcome(_reference_rect_winding, patch, rect)[0] == "ok":
+                settled_at.add(sizes[-1])
+        raised += _batch_matches_the_reference(patch, rects)
+    assert 40 <= raised <= 160
+    assert {64, 128, 256, 512, 1024, 2048, 4096} <= settled_at
+
+
+@pytest.mark.parametrize("kind", [MODEL_GRAPH_ELLIPTIC, MODEL_GRAPH_HYPERBOLIC, "cubic"])
+@pytest.mark.parametrize("center, radius", [
+    ((0, 0), 0.5), ((0.3, 0.0), 0.3), ((0.7, 0.7), 0.2), ((0, 0), 0.8),
+    ((0.01, 0), 1e-2), ((0, 0), 1e300), ((0, 0), 0.0), ((0, 0), -1.0),
+    ((0, 0), 1e-310), ((0, 0), 1e-320), ((0, 0), 5e-324),
+])
+def test_winding_index_matches_the_reference(kind, center, radius):
+    patch = _antiholomorphic_cubic() if kind == "cubic" else model_patch(kind)
+    assert _outcome(winding_index, patch, center, radius) == _outcome(
+        _reference_winding_index, patch, center, radius
+    )
+
+
+def test_batched_windings_bound_the_samples_of_one_det_call():
+    """Both rects' bottom edges pass 2e-9 above the zero of det = s + it,
+    and no sample lands within 7e-7 of s = 0 on them, so neither settles
+    before MAX_WINDING_SAMPLES."""
+    sizes = []
+
+    def det(s, t):
+        sizes.append(np.size(s))
+        return np.asarray(s) + 1j * np.asarray(t)
+
+    patch = SurfacePatch("plane", lambda s, t: (s + 0j, t + 0j), (Rect(-1, 1, -1, 1),), det)
+    rects = [Rect(-0.3, 0.7, 2e-9, 1 + 2e-9), Rect(-0.6, 0.4, 2e-9, 1 + 2e-9)]
+    for rect in rects:
+        with pytest.raises(GeometryError, match="winding did not stabilize"):
+            _reference_rect_winding(patch, rect)
+    sizes.clear()
+    with pytest.raises(GeometryError, match="winding did not stabilize"):
+        patches._rect_windings(patch, rects)
+    assert max(sizes) == patches.MAX_WINDING_SAMPLES
 
 
 def _faulty_patch(*nans):

@@ -383,9 +383,19 @@ def test_sampler_draws_the_starts_of_the_pointc2_sampler(kind):
     for seed in range(5):
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = itertools.repeat(None, scenario.MAX_FLOW_DRAWS)
+        points = scenario._uniform_rows(new, 0.6)
         for _ in range(20):
-            start = scenario._sample_sublevel(fld, new, 0.01, 0.6, draws)
+            start = scenario._sample_sublevel(fld, points, 0.01, draws)
             assert start == _reference_sample(fld, old, 0.01, 0.6)
+
+
+def test_block_draws_are_the_stream_of_single_draws():
+    """Row for row, across the 1024-row block boundaries too."""
+    for seed in range(3):
+        rows = scenario._uniform_rows(np.random.default_rng(seed), 0.6)
+        single = np.random.default_rng(seed)
+        for _ in range(2051):
+            assert next(rows) == single.uniform(-0.6, 0.6, size=4).tolist()
 
 
 def test_flow_from_the_surface_is_immediate():
