@@ -25,6 +25,7 @@ share one record object in the report tree), and ``plan --degree 1
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _quote
@@ -133,11 +134,24 @@ def _subclass_scalar(value: object) -> str:
 FLUSH_PIECES = 1 << 12
 
 
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds at their 128 KiB default.  The
+    mmap threshold otherwise rises to each mapped block freed, so after one
+    large report the copies a reader makes of the next come from the heap,
+    where peak memory follows the heap's layout, not the code."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    for option in (-1, -3) if mallopt else ():  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        mallopt(option, 1 << 17)
+
+
 def dump(obj: object, write: Callable[[str], object]) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte,
     through ``write`` in pieces, for a tree of dict (str keys only), list,
     tuple, str, int, float, bool and None; raises TypeError on any other
-    value or key type."""
+    value or key type.  A dump of more than one piece pins the malloc thresholds."""
     out: list[str] = []
     append = out.append
     scalar = _SCALARS.get
@@ -190,6 +204,7 @@ def dump(obj: object, write: Callable[[str], object]) -> None:
                         append(fmt(item))
                 append(pads[depth] + "]")
             if len(out) >= FLUSH_PIECES:
+                _pin_malloc_thresholds()
                 write("".join(out))
                 out.clear()
 

@@ -2,7 +2,12 @@
 key-sorted encoder on every tree a report can hold, and refusing the rest."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -156,3 +161,41 @@ def test_a_plan_shares_one_record_per_distinct_step():
     assert len(steps) == len(recipe.steps)
     assert len({id(record) for record in steps}) <= len(set(recipe.steps))
     assert steps == [step.to_json() for step in recipe.steps]
+
+
+# Frees an 8 MiB mapped block, which raises glibc's dynamic mmap threshold
+# above 4 MiB, then prints how many bytes a freed 4 MiB block leaves
+# resident; with ``dump`` first, a report of two pieces is dumped before.
+KEPT_AFTER_FREE = """
+import os, sys
+from steinsurf import cli
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+if sys.argv[1:] == ["dump"]:
+    cli.dump(list(range(2 * cli.FLUSH_PIECES)), lambda piece: None)
+big = "a" * (8 << 20)
+del big
+before = resident()
+block = "b" * (4 << 20)
+del block
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mallopt thresholds")
+def test_a_dump_of_many_pieces_keeps_freed_large_blocks_off_the_heap():
+    """A dump that writes more than one piece pins glibc's thresholds, so a
+    large block freed later is unmapped at once, whatever was freed before."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def kept(*args):
+        done = subprocess.run([sys.executable, "-c", KEPT_AFTER_FREE, *args], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        return int(done.stdout)
+
+    assert kept() >= 3 << 20
+    assert kept("dump") < 1 << 20
