@@ -34,14 +34,15 @@ through ``_det_blocks``, in blocks of whole rows (s fixed) of at most
 ``DEFAULT_CHUNK`` nodes and at least two rows each, every block starting
 on the last row of the one before, so every cell, and every s edge, has
 its nodes in one block and the candidate cells come out in row-major
-order; the screen takes arg det once per node of a block.  The block is
-2^16 nodes, not the 4-D sweeps' 2^13: a row holds up to about 1,570 t
-nodes at step 0.004, so a 2^13-node block is five rows and the shared
-rows would redo a fifth of them; such blocks measured no faster on the
-adaptive patch checks.  A block is evaluated on broadcast axes, the
-rows' s nodes as a column against the t nodes as a row, so a det of s
-or t alone (SigmaPlus, Weinstein) is computed once per axis and no
-meshgrid is built; memory is bounded by the block, not by the grid step.
+order.  The block is 2^16 nodes, not the 4-D sweeps' 2^13: a row holds
+up to about 1,570 t nodes at step 0.004, so a 2^13-node block is five
+rows and the shared rows would redo a fifth of them; such blocks
+measured no faster on the adaptive patch checks.  A block is evaluated
+on broadcast axes, the rows' s nodes as a column against the t nodes as
+a row, and every pass over it runs on its distinct values
+(``_distinct``), so a det of s or t alone (SigmaPlus, Weinstein) is
+computed, checked, screened and minimised once per axis, and no meshgrid
+is built; memory is bounded by the block, not by the grid step.
 
 The nodes of a rectangle sit at lo + (k + 0.382) step on each axis, for
 k < count = max(floor((hi - lo) / step), 2), so the cells span
@@ -136,9 +137,8 @@ def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
     # A determinant that overflows is refused as non-finite just below.
     with np.errstate(all="ignore"):
         det = np.broadcast_to(np.asarray(patch.det(s, t), dtype=complex), shape)
-    bad = ~np.isfinite(det)
-    if np.any(bad):
-        at = np.unravel_index(int(np.argmax(bad)), shape)
+    if not np.all(np.isfinite(_distinct(det))):
+        at = np.unravel_index(int(np.argmax(~np.isfinite(det))), shape)
         sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
         raise GeometryError(
             f"patch {patch.name} has non-finite tangent data at (s, t) = ({sb}, {tb})"
@@ -382,15 +382,26 @@ def _det_blocks(patch: SurfacePatch, grid_step: float):
             yield s_nodes, t_nodes, first, det
 
 
+def _distinct(det: np.ndarray) -> np.ndarray:
+    """``det`` with each stride-0 axis of a broadcast view cut to at most
+    two entries, which keeps np.diff defined: the identity on a full
+    array."""
+    return det[tuple(slice(2) if step == 0 else slice(None) for step in det.strides)]
+
+
 def _steep_cells(det: np.ndarray) -> np.ndarray:
     """Row-major ``(i, j)`` of the cells with an edge along which arg det
-    turns by 0.45 pi or more: its nodes' args differ by 0.45 to 1.55 pi."""
-    arg = np.angle(det)
+    turns by 0.45 pi or more: its nodes' args differ by 0.45 to 1.55 pi.
+    Args are taken on the distinct values of a broadcast ``det``, and the
+    cell flags are broadcast back over the cells only when one is set."""
+    arg = np.angle(_distinct(det))
     down, along = (
         np.abs(math.pi - np.abs(np.diff(arg, axis=axis))) <= 0.55 * math.pi
         for axis in (0, 1)
     )
-    return np.argwhere(down[:, :-1] | down[:, 1:] | along[:-1] | along[1:])
+    flags = down[:, :-1] | down[:, 1:] | along[:-1] | along[1:]
+    cells = (det.shape[0] - 1, det.shape[1] - 1)
+    return np.argwhere(np.broadcast_to(flags, cells) if flags.any() else flags)
 
 
 def locate_complex_points(
@@ -409,7 +420,7 @@ def locate_complex_points(
     """
     cells = []
     for s_nodes, t_nodes, first, det in _det_blocks(patch, grid_step):
-        if np.any(det == 0):
+        if np.any(_distinct(det) == 0):
             raise GeometryError(
                 f"determinant vanishes exactly on a grid node of {patch.name}; "
                 "perturb grid_step"
@@ -435,11 +446,12 @@ def locate_complex_points(
 
 
 def min_abs_complex_det(patch: SurfacePatch, grid_step: float) -> float:
-    """Minimum |det| over the sweep grid; a positive lower-bound witness
-    that a patch is totally real at grid resolution."""
+    """Minimum |det| over the sweep grid, taken on the distinct values of
+    each block; a positive lower-bound witness that a patch is totally
+    real at grid resolution."""
     best = math.inf
     for *_, det in _det_blocks(patch, grid_step):
-        best = min(best, float(np.min(np.abs(det))))
+        best = min(best, float(np.min(np.abs(_distinct(det)))))
     return best
 
 

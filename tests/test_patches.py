@@ -894,3 +894,167 @@ def test_patch_sweep_memory_does_not_grow_with_the_grid(kind, epsilon, step):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Per-axis passes over broadcast dets against the materialized passes
+# ---------------------------------------------------------------------------
+
+
+def _screen_patch(kind, epsilon):
+    return conjugate_graph(3) if kind == "conjugate_graph(3)" else model_patch(kind, epsilon)
+
+
+def _passes(det):
+    """What the sweeps read from one block: the screened cells, whether
+    the exact-zero refusal fires, and the block's min |det|."""
+    distinct = patches._distinct(det)
+    return (
+        patches._steep_cells(det).tolist(),
+        bool(np.any(distinct == 0)),
+        float(np.min(np.abs(distinct))),
+    )
+
+
+_ONE_VARIABLE_KINDS = (MODEL_SIGMA_PLUS, MODEL_WEINSTEIN)
+
+
+@pytest.mark.parametrize("kind, epsilon", [
+    *((kind, eps) for kind in _SIGMA_KINDS for eps in (0.1, -0.07, 0.178)),
+    (MODEL_WEINSTEIN, None),
+    (MODEL_GRAPH_ELLIPTIC, None),
+    (MODEL_GRAPH_HYPERBOLIC, None),
+    ("conjugate_graph(3)", None),
+])
+def test_per_axis_passes_match_the_materialized_det(kind, epsilon):
+    patch = _screen_patch(kind, epsilon)
+    for step in (0.004, 0.013, 0.05, 0.1):
+        for *_, det in patches._det_blocks(patch, step):
+            # Only a det of one variable comes back as a broadcast view.
+            assert (0 in det.strides) == (kind in _ONE_VARIABLE_KINDS)
+            full = np.array(det)
+            assert patches._distinct(full).shape == full.shape
+            assert _passes(det) == _passes(full)
+
+
+def test_per_axis_passes_match_the_materialized_det_on_random_grids():
+    # One axis broadcast, as an (n, 1) column or a (1, m) row, with axes
+    # of length 2 among them, and full grids; a few hold an exact zero.
+    kinds = {"column": 0, "row": 0, "full": 0}
+    for k in range(256):
+        rng = np.random.default_rng(k)
+        shape = tuple(int(n) for n in rng.integers(2, 24, size=2))
+        if k % 8 == 0:
+            shape = (2, shape[1]) if k % 16 else (shape[0], 2)
+        kind = ("column", "row", "full")[k % 3]
+        drawn = shape[0] if kind == "column" else shape[1] if kind == "row" else shape
+        spread = rng.uniform(0.1, 1) * math.pi
+        values = 10.0 ** rng.uniform(-100, 100, size=drawn) * np.exp(
+            1j * rng.uniform(-spread, spread, size=drawn)
+        )
+        if rng.uniform() < 0.2:
+            values.flat[rng.integers(values.size)] = 0
+        det = np.broadcast_to(
+            values[:, None] if kind == "column" else values, shape
+        )
+        full = np.array(det)
+        assert (0 in det.strides) == (kind != "full")
+        assert _passes(det) == _passes(full)
+        kinds[kind] += 1
+    assert min(kinds.values()) > 80
+
+
+def _one_variable_patch(axis, nans=(), zeros=()):
+    """Plane (z, w) = (s, t) whose det, 1, is computed from s alone
+    (axis 0) or t alone (axis 1) and set to NaN on ``nans`` and to 0 on
+    ``zeros`` there, so a sweep block gets it as a broadcast view."""
+
+    def det(s, t):
+        x = np.asarray((s, t)[axis], dtype=float)
+        out = np.ones(x.shape, dtype=complex)
+        out[np.isin(x, nans)] = np.nan
+        out[np.isin(x, zeros)] = 0
+        return out
+
+    return SurfacePatch(
+        name=f"one-variable-{axis}",
+        chart=lambda s, t: (np.asarray(s) + 0j, np.asarray(t) + 0j),
+        det=det,
+        domain=(Rect(-1, 1, -1, 1),),
+    )
+
+
+def _materialized(patch):
+    """``patch`` with its det computed over the full broadcast shape."""
+
+    def det(s, t):
+        return np.array(np.broadcast_to(patch.det(s, t), np.broadcast(s, t).shape))
+
+    return dataclasses.replace(patch, det=det)
+
+
+_ZERO = "determinant vanishes exactly on a grid node of"
+
+
+def _nan_at(s, t):
+    return f"has non-finite tangent data at (s, t) = ({s}, {t})"
+
+
+_AT_S4, _AT_S10 = _nan_at(_S[4], _T[0]), _nan_at(_S[10], _T[0])
+_AT_T6, _AT_T15 = _nan_at(_S[0], _T[6]), _nan_at(_S[0], _T[15])
+
+
+# With _STEP and _CHUNK, rows 4 and 10 lie in different blocks; every
+# block holds all 20 t nodes.  Each case gives what locate_complex_points
+# and min_abs_complex_det must raise or return.
+@pytest.mark.parametrize("axis, nans, zeros, located, least", [
+    # s alone: the first offending block wins, NaN or zero alike.
+    pytest.param(0, (_S[10], _S[4]), (), _AT_S4, _AT_S4, id="s-nan-nan"),
+    pytest.param(0, (_S[4],), (_S[10],), _AT_S4, _AT_S4, id="s-nan-zero"),
+    pytest.param(0, (_S[10],), (_S[4],), _ZERO, _AT_S10, id="s-zero-nan"),
+    pytest.param(0, (), (_S[10], _S[4]), _ZERO, 0.0, id="s-zero-zero"),
+    # t alone: one block holds every bad node, and the finite check runs
+    # before the refusal.
+    pytest.param(1, (_T[15], _T[6]), (), _AT_T6, _AT_T6, id="t-nan-nan"),
+    pytest.param(1, (_T[15],), (_T[3],), _AT_T15, _AT_T15, id="t-nan-zero"),
+    pytest.param(1, (), (_T[3],), _ZERO, 0.0, id="t-zero"),
+])
+def test_one_variable_dets_fail_where_the_materialized_det_fails(
+    monkeypatch, axis, nans, zeros, located, least
+):
+    monkeypatch.setattr(patches, "DEFAULT_CHUNK", _CHUNK)
+    patch = _one_variable_patch(axis, nans, zeros)
+    for sweep, expected in ((locate_complex_points, located), (min_abs_complex_det, least)):
+        outcome = _outcome(sweep, patch, _STEP)
+        assert outcome == _outcome(sweep, _materialized(patch), _STEP)
+        if expected == 0.0:
+            assert outcome == ("ok", 0.0)
+        else:
+            assert outcome[0] == "error" and expected in outcome[1]
+        if expected not in (_ZERO, 0.0):
+            assert outcome[1] == _whole_grid_error(patch)
+
+
+def _counted_elements(patch, step):
+    """Elements handed to np.angle and np.abs by both patch sweeps."""
+    with mock.patch.object(np, "angle", wraps=np.angle) as angle, \
+            mock.patch.object(np, "abs", wraps=np.abs) as absolute:
+        locate_complex_points(patch, grid_step=step)
+        min_abs_complex_det(patch, grid_step=step)
+    return sum(
+        np.size(call.args[0]) for f in (angle, absolute) for call in f.call_args_list
+    )
+
+
+# A block's passes take about 10 (rows + n_t) elements on a one-variable
+# det; an edit that materializes it takes rows * n_t again, which at step
+# 0.004 is 40 to 80 times rows + n_t.
+@pytest.mark.parametrize("kind, epsilon", [(MODEL_SIGMA_PLUS, 0.1), (MODEL_WEINSTEIN, None)])
+def test_one_variable_det_passes_grow_with_the_axes_not_the_nodes(kind, epsilon):
+    patch = model_patch(kind, epsilon)
+    step = 0.004
+    blocks = [(len(det), len(t)) for _, t, _, det in patches._det_blocks(patch, step)]
+    per_axis = sum(rows + n_t for rows, n_t in blocks)
+    nodes = sum(rows * n_t for rows, n_t in blocks)
+    assert _counted_elements(patch, step) <= 12 * per_axis < nodes / 2
+    assert _counted_elements(_materialized(patch), step) >= 2 * nodes
