@@ -14,7 +14,7 @@ The stepper runs on Python floats, coordinate by coordinate, with the
 IEEE operations of the vector formulas c + (dt/2) k and
 c + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) in the same order, so its
 trajectory is bit for bit the one a float64 array stepper takes.  Only
-accepted points become :class:`PointC2`.
+accepted points become :class:`PointC2`; no value but the last is kept.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ _BOX = Box4.symmetric(2.0)
 
 @dataclass(frozen=True)
 class FlowResult:
+    """Accepted points, each of lower value than the one before, and the last value."""
+
     trajectory: tuple[PointC2, ...]
-    values: tuple[float, ...]
     final_value: float
     converged: bool
 
@@ -74,7 +75,6 @@ def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
     x, y, u, v = start.reals
     value = field.value_at(start)
     trajectory = [start]
-    values = [value]
     dt = _FIRST_STEP
     converged = value <= CONVERGED_VALUE
 
@@ -109,9 +109,8 @@ def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
         x, y, u, v = nx, ny, nu, nv
         value = new_value
         trajectory.append(PointC2.from_reals(x, y, u, v))
-        values.append(value)
         dt *= _GROWTH
         if value <= CONVERGED_VALUE:
             converged = True
 
-    return FlowResult(tuple(trajectory), tuple(values), value, converged)
+    return FlowResult(tuple(trajectory), value, converged)

@@ -294,11 +294,13 @@ def _orientation_sign(patch: SurfacePatch, s: float, t: float) -> int:
     return 1 if area > 0 else -1
 
 
-def _refine_zero(patch: SurfacePatch, cell: Rect, winding: int) -> list[LocatedComplexPoint]:
-    """Shrink a cell with nonzero boundary winding down to its zeros; the
-    four sub-cells of a split are wound together, in one call."""
+def _refine_zeros(
+    patch: SurfacePatch, cells: list[Rect], windings: list[int]
+) -> list[LocatedComplexPoint]:
+    """Shrink each cell of nonzero winding down to its zeros, in order and
+    each depth-first; the four sub-cells of a split are wound in one call."""
     found: list[LocatedComplexPoint] = []
-    stack = [(cell, winding, 0)]
+    stack = [(cell, w, 0) for cell, w in zip(cells, windings) if w][::-1]
     while stack:
         rect, w, depth = stack.pop()
         sc = 0.5 * (rect.s0 + rect.s1)
@@ -404,19 +406,19 @@ def _steep_cells(det: np.ndarray) -> np.ndarray:
     return np.argwhere(np.broadcast_to(flags, cells) if flags.any() else flags)
 
 
-def locate_complex_points(
-    patch: SurfacePatch, grid_step: float = 0.1
-) -> list[LocatedComplexPoint]:
-    """Find the isolated complex points of a patch.
+def locate_complex_points(patch: SurfacePatch, grid_step: float) -> list[LocatedComplexPoint]:
+    """Find the isolated complex points of a patch, sorted by (s, t).
 
     The domain is covered by cells of roughly ``grid_step``.  A cell with
     an edge along which arg det turns by 0.45 pi or more is verified by an
     adaptively sampled boundary winding and refined by bisection until
     the center determinant drops below ZERO_TOL.  No cell of nonzero
     corner winding k is missed: its four turns sum to 2 pi k, so one is at
-    least pi/2.  Zeros must be isolated at the grid resolution; a cluster
-    that never resolves raises instead of returning bad data.  The whole
-    grid is swept, and its errors raised, before any cell is refined.
+    least pi/2.  The whole grid is swept and screened, and every candidate
+    cell wound in one call, before any cell is refined.  Refined cells are
+    disjoint, so zeros closer than a cell are each reported; zeros in one
+    cell whose windings cancel are not, and a cluster that never resolves
+    raises instead of returning bad data.
     """
     cells = []
     for s_nodes, t_nodes, first, det in _det_blocks(patch, grid_step):
@@ -427,22 +429,8 @@ def locate_complex_points(
             )
         for i, j in _steep_cells(det) + (first, 0):
             cells.append(Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1]))
-    results: list[LocatedComplexPoint] = []
-    for cell in cells:
-        (w,) = _rect_windings(patch, [cell])
-        if w != 0:
-            results.extend(_refine_zero(patch, cell, w))
-
-    # Deduplicate refinements that met on a shared cell edge.
-    results.sort(key=lambda r: (r.s, r.t))
-    deduped: list[LocatedComplexPoint] = []
-    for r in results:
-        if any(
-            math.hypot(r.s - q.s, r.t - q.t) < 0.25 * grid_step for q in deduped
-        ):
-            continue
-        deduped.append(r)
-    return deduped
+    found = _refine_zeros(patch, cells, _rect_windings(patch, cells))
+    return sorted(found, key=lambda r: (r.s, r.t))
 
 
 def min_abs_complex_det(patch: SurfacePatch, grid_step: float) -> float:

@@ -161,6 +161,8 @@ def exhaustion_certificate(
         raise GeometryError(f"epsilon must be positive, got {epsilon}")
     if delta <= 0:
         raise GeometryError(f"delta must be positive, got {delta}")
+    if collar is None and not 0.1 * epsilon > 0:
+        raise GeometryError(f"epsilon {epsilon} is too small: its collar epsilon/10 rounds to 0")
     collar = 0.1 * epsilon if collar is None else collar
     if not 0 < collar < epsilon:
         raise GeometryError(f"collar must lie in (0, epsilon), got {collar}")

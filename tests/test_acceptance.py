@@ -323,7 +323,8 @@ def test_criterion_09_retraction_flows():
             result = flow_to_surface(fld, start)
             if not result.converged or result.final_value >= 1e-10:
                 problems.append(f"{kind}: start {coords} final {result.final_value}")
-            if any(b > a for a, b in zip(result.values, result.values[1:])):
+            values = [fld.value_at(p) for p in result.trajectory]
+            if any(b > a for a, b in zip(values, values[1:])):
                 problems.append(f"{kind}: non-monotone values from {coords}")
     _verdict(9, problems, started, budget=30.0)
 

@@ -369,6 +369,15 @@ def test_overflowing_exhaustion_is_a_quiet_task_error(params, capsys):
     assert "non-finite Levi data" in result.details["error"]
 
 
+@pytest.mark.parametrize("epsilon", [5e-324, 2e-323])
+def test_an_epsilon_whose_default_collar_underflows_is_refused_by_name(epsilon):
+    """The default collar eps/10 rounds to 0 for eps up to 4 ulp; the
+    refusal names epsilon, which the suite takes, not the collar."""
+    (result,) = scenario.verify_local("exhaustion", {"epsilon": epsilon}).results
+    assert not result.passed
+    assert result.details["error"].startswith(f"epsilon {epsilon} is too small")
+
+
 def _exhaustion_check(name, witness_point, witness_value):
     return {"name": name, "pass": False, "certificate": {
         "pass": False, "rule": "exhaustion-strongly-psh",

@@ -98,8 +98,29 @@ def test_argument_principle_additivity():
     assert winding_index(patch, (0, 0), 0.8) == -2
 
 
+def test_zeros_closer_than_a_cell_are_each_located():
+    # df/dzbar = (zbar - conj a)(zbar - conj b): two zeros of index -1,
+    # 0.02 apart, inside one cell of the step-0.1 grid.
+    a, b = 0.013 + 0.011j, 0.013 + 0.031j
+    ca, cb = a.conjugate(), b.conjugate()
+
+    def zbar(s, t):
+        return np.asarray(s) - 1j * np.asarray(t)
+
+    patch = patches._graph_patch(
+        "TwoCloseZeros",
+        lambda s, t: zbar(s, t) ** 3 / 3 - (ca + cb) * zbar(s, t) ** 2 / 2 + ca * cb * zbar(s, t),
+        lambda s, t: (zbar(s, t) - ca) * (zbar(s, t) - cb),
+    )
+    found = locate_complex_points(patch, grid_step=0.1)
+    assert len(found) == 2
+    for point, zero in zip(sorted(found, key=lambda p: p.t), (a, b)):
+        assert abs(complex(point.s, point.t) - zero) <= 1e-6
+        assert point.index == -1
+
+
 def test_located_point_serialization():
-    (found,) = locate_complex_points(model_patch(MODEL_GRAPH_HYPERBOLIC))
+    (found,) = locate_complex_points(model_patch(MODEL_GRAPH_HYPERBOLIC), grid_step=0.1)
     blob = found.to_json()
     assert blob["index"] == -1
     assert blob["point"] == found.point.to_json()
@@ -273,7 +294,7 @@ def test_non_immersed_chart_is_rejected():
     )
     assert complex(det_arrays(fold, 0.5, 0.0)) == pytest.approx(1.0)
     with pytest.raises(GeometryError):
-        locate_complex_points(fold)
+        locate_complex_points(fold, grid_step=0.1)
 
 
 def test_a_zero_with_r_dependent_tangents_is_not_a_complex_point():
@@ -302,7 +323,7 @@ def test_complex_curve_has_no_isolated_points():
     )
     # immersed, but complex everywhere: the sweep must refuse to answer
     with pytest.raises(GeometryError):
-        locate_complex_points(line)
+        locate_complex_points(line, grid_step=0.1)
 
 
 def test_locate_grid_step_validation():
@@ -464,14 +485,8 @@ def _meshgrid_locate(patch, grid_step):
             cell = Rect(s_nodes[i], s_nodes[i + 1], t_nodes[j], t_nodes[j + 1])
             w = _reference_rect_winding(patch, cell)
             if w != 0:
-                results.extend(patches._refine_zero(patch, cell, w))
-    results.sort(key=lambda r: (r.s, r.t))
-    deduped = []
-    for r in results:
-        if any(math.hypot(r.s - q.s, r.t - q.t) < 0.25 * grid_step for q in deduped):
-            continue
-        deduped.append(r)
-    return deduped
+                results.extend(patches._refine_zeros(patch, [cell], [w]))
+    return sorted(results, key=lambda r: (r.s, r.t))
 
 
 def _meshgrid_min_abs(patch, grid_step):

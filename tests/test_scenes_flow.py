@@ -286,8 +286,9 @@ def test_flow_reaches_the_surface_monotonically(kind):
     result = flow_to_surface(fld, PointC2.from_reals(0.3, -0.2, 0.25, 0.1))
     assert result.converged
     assert result.final_value <= 1e-10
-    diffs = np.diff(result.values)
-    assert np.all(diffs < 0)
+    values = [fld.value_at(p) for p in result.trajectory]
+    assert values[-1] == result.final_value
+    assert np.all(np.diff(values) < 0)
 
 
 def test_flow_evaluates_the_field_once_per_attempted_step():
@@ -327,7 +328,7 @@ def _reference_flow(field, start):
     box = Box4.symmetric(2.0)
     coords = np.array(start.reals, dtype=float)
     value = float(field.value_at(start))
-    trajectory, values = [start], [value]
+    trajectory = [start]
     dt = 0.05
     converged = value <= flow.CONVERGED_VALUE
     for _ in range(5000):
@@ -350,10 +351,9 @@ def _reference_flow(field, start):
             continue
         coords, value = candidate, new_value
         trajectory.append(point)
-        values.append(value)
         dt *= flow._GROWTH
         converged = value <= flow.CONVERGED_VALUE
-    return flow.FlowResult(tuple(trajectory), tuple(values), value, converged)
+    return flow.FlowResult(tuple(trajectory), value, converged)
 
 
 def _reference_sample(field, rng, level, half_width):
@@ -451,4 +451,5 @@ def test_flow_iteration_budget(monkeypatch):
     result = flow_to_surface(fld, PointC2.from_reals(0.09, 0.09, 0.0, 0.0))
     assert not result.converged
     assert result.final_value > 1e-10
-    assert len(result.values) <= 4
+    assert len(result.trajectory) <= 4
+    assert result.final_value == fld.value_at(result.trajectory[-1])
