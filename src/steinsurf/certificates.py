@@ -4,6 +4,8 @@ Every checker in the package reports its outcome as a :class:`Certificate`:
 a pass/fail flag, the name of the rule that was evaluated, and a list of
 witnesses recording the numbers the decision was based on.  Certificates
 serialize to JSON as ``{"pass": ..., "rule": ..., "witnesses": [...]}``.
+Witness data enters that tree as built, so the tree shares a witness's
+own lists; ``cli.dump`` is the one gate on what a report may hold.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Witness:
     value: Any
 
     def to_json(self) -> dict:
-        return {"point": _jsonable(self.point), "value": _jsonable(self.value)}
+        return {"point": self.point, "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,3 @@ class Certificate:
             "rule": self.rule,
             "witnesses": [w.to_json() for w in self.witnesses],
         }
-
-
-def _jsonable(value: Any) -> Any:
-    """Witness data as plain JSON: tuples become lists and dict keys
-    strings; any other type raises TypeError instead of being stringified."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if value is None or isinstance(value, (int, float, str)):  # bool is an int
-        return value
-    raise TypeError(f"witness data of type {type(value).__name__} is not JSON")

@@ -12,14 +12,16 @@ Subcommands:
 Exit codes: 0 when the report passes, 1 when any task fails, 2 for
 unparseable input.  JSON reports are deterministic; timing is emitted
 only in text mode or with ``--timing``.  A JSON report holds only dict,
-list, str, int, float, bool and null, and its bytes are exactly those of
+list, str, int, float, bool and null; ``dump``, the one gate on that,
+refuses any other type.  Its bytes are exactly those of
 ``json.dumps(report, indent=2, sort_keys=True)``; ``render`` writes them
 with its own emitter because the stdlib encoder falls back to pure
 Python whenever ``indent`` is set.  The emitter writes in pieces of
 about FLUSH_PIECES fragments, so it never holds a joined copy of the
 report: a plan's recipe prints one record per step (its equal steps
-share one record object in the report tree), and ``plan --degree 1
---genus 1000000``, a 65 MB report, renders in a 46 MB process.
+share one record object in the report tree, as a certificate shares its
+witnesses' lists), and ``plan --degree 1 --genus 1000000``, a 65 MB
+report, renders in a 46 MB process.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ needs exponentially stretched steps rather than more of them.
 The stepper runs on Python floats, coordinate by coordinate, with the
 IEEE operations of the vector formulas c + (dt/2) k and
 c + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) in the same order, so its
-trajectory is bit for bit the one a float64 array stepper takes.  Only
-accepted points become :class:`PointC2`; no value but the last is kept.
+trajectory is bit for bit the one a float64 array stepper takes.  Each
+candidate is built once as a :class:`PointC2`; only the last value is kept.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
         ny = y + sixth * (((ay + 2 * by) + 2 * cy) + dy)
         nu = u + sixth * (((au + 2 * bu) + 2 * cu) + du)
         nv = v + sixth * (((av + 2 * bv) + 2 * cv) + dv)
-        _check_point(nx, ny, nu, nv)
+        candidate = PointC2.from_reals(nx, ny, nu, nv)
         inside = xl <= nx <= xh and yl <= ny <= yh and ul <= nu <= uh and vl <= nv <= vh
         if inside:
             new_value = float(value_of(nx, ny, nu, nv))
@@ -108,7 +108,7 @@ def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
             continue
         x, y, u, v = nx, ny, nu, nv
         value = new_value
-        trajectory.append(PointC2.from_reals(x, y, u, v))
+        trajectory.append(candidate)
         dt *= _GROWTH
         if value <= CONVERGED_VALUE:
             converged = True

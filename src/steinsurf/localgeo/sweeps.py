@@ -192,8 +192,8 @@ def psh_certificate(
     Passes iff the smallest Levi eigenvalue is >= -tol at every grid
     point and |gradient| > tol at every grid point whose value exceeds
     VALUE_FLOOR (points essentially on the zero set are exempt from
-    the gradient condition).  Witnesses report the minimizing points for
-    both quantities.
+    the gradient condition).  Witnesses report the Levi minimum and, when
+    some node lies off the surface, the gradient minimum.
     """
     levi_min = grad_min = (np.inf, None)
     for x, y, u, v in grid_chunks(box, grid_step):
@@ -209,9 +209,7 @@ def psh_certificate(
             grad_min = first_minimum(grad_min, gnorm, x, y, u, v)
 
     (best_eig, best_eig_at), (best_grad, best_grad_at) = levi_min, grad_min
-    witnesses = []
-    if best_eig_at is not None:
-        witnesses.append(Witness(["levi_min", *best_eig_at], best_eig))
+    witnesses = [Witness(["levi_min", *best_eig_at], best_eig)]
     if best_grad_at is not None:
         witnesses.append(Witness(["grad_min", *best_grad_at], best_grad))
     passed = best_eig >= -tol and (best_grad_at is None or best_grad > tol)

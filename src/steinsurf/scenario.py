@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import json
 import math
 import time
@@ -439,30 +438,25 @@ def _suite_weinstein(grid_step: float = 0.1) -> list[dict]:
     return [totally_real, _check_entry("weinstein-positive-double-point", cert)]
 
 
-def _uniform_rows(rng, half_width: float):
-    """The rows of ``size=4`` uniform draws on [-half_width, half_width], 1024 at a time."""
-    while True:
-        yield from rng.uniform(-half_width, half_width, size=(1024, 4)).tolist()
+def _sublevel_starts(field, rng, n: int, level: float, budget: int):
+    """The first ``n`` of rng's uniform draws on [-0.6, 0.6]^4 with
+    rho < level, as PointC2, and the draws they took: every row up to the
+    n-th start, at most ``budget``.  Rows are drawn and screened 1024 at a
+    time; row for row they are the stream of single ``size=4`` draws."""
+    starts, used = [], 0
+    while len(starts) < n and used < budget:
+        block = rng.uniform(-0.6, 0.6, size=(1024, 4))[: budget - used]
+        below = np.flatnonzero(field.value(*block.T) < level)[: n - len(starts)]
+        starts += [PointC2.from_reals(*row) for row in block[below].tolist()]
+        used += int(below[-1]) + 1 if len(starts) == n else len(block)
+    return starts, used
 
 
-def _sample_sublevel(field, points, level: float, draws):
-    """Take points until rho < level; each takes one item of ``draws``, an
-    iterator shared by every start of a flow run."""
-    value = field.value
-    for _, coords in zip(draws, points):
-        if float(value(*coords)) < level:
-            return PointC2.from_reals(*coords)
-    raise NumericalError(
-        f"flow level={level} left no start after MAX_FLOW_DRAWS = {MAX_FLOW_DRAWS} "
-        "draws over all starts; raise level"
-    )
-
-
-# Each flow start samples a point and runs one RK4 flow per model (about
-# 0.6 ms for both on a 2-vCPU Xeon), so the start count is bounded before
-# any sampling.  A draw costs about 0.6 us; at the default level a start
-# pair takes about 51 draws, so MAX_FLOW_STARTS pairs fit in the one draw
-# budget of a run, while a level near 0 is refused after about 0.6 s.
+# Each flow start runs one RK4 flow per model (about 0.23 ms for both on a
+# 2-vCPU Xeon), so the start count is bounded before any sampling.  A draw
+# costs about 40 ns; at the default level a start pair takes about 52
+# draws, so MAX_FLOW_STARTS pairs fit in the one draw budget of a run,
+# while a level near 0 is refused after about 0.05 s.
 MAX_FLOW_STARTS = 1 << 13
 MAX_FLOW_DRAWS = 1 << 20
 
@@ -475,17 +469,20 @@ def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> l
     if level <= 0:
         raise GeometryError(f"flow needs level > 0 (rho is never negative), got level={level}")
     checks = []
-    draws = itertools.repeat(None, MAX_FLOW_DRAWS)
+    budget = MAX_FLOW_DRAWS
     for kind in MODEL_KINDS:
         fld = model_field(kind)
-        points = _uniform_rows(np.random.default_rng(seed), 0.6)
+        starts, used = _sublevel_starts(fld, np.random.default_rng(seed), n, level, budget)
+        budget -= used
         worst = 0.0
         ok = True
-        for _ in range(n):
-            start = _sample_sublevel(fld, points, level, draws)
+        for start in starts:
             res = flow_to_surface(fld, start)
             ok = ok and res.converged
             worst = max(worst, res.final_value)
+        if len(starts) < n:
+            raise NumericalError(f"flow level={level} left no start after MAX_FLOW_DRAWS = "
+                                 f"{MAX_FLOW_DRAWS} draws over all starts; raise level")
         cert = Certificate(
             ok, RULE_FLOW,
             (Witness("max_final_value", worst), Witness("n_starts", n)),

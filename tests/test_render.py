@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinsurf import cli
-from steinsurf.certificates import Witness
+from steinsurf.certificates import RULE_FLOW, Certificate, Witness
 from steinsurf.invariants import oriented_class
+from steinsurf.scenario import Report, TaskResult
 from steinsurf.surgery import PlanTarget, plan_cp2
 
 
@@ -93,19 +94,28 @@ def test_emitter_refuses_what_a_report_cannot_hold(value):
         _dumps({"report": [value]})
 
 
-def test_witness_passes_plain_json_data_through():
+def _witness_report(witness: Witness) -> Report:
+    cert = Certificate(True, RULE_FLOW, (witness,))
+    return Report((TaskResult("0:verify-local", True, {"certificate": cert.to_json()}, 0.0),))
+
+
+def test_render_is_the_one_gate_on_witness_data():
+    """Witness data reaches the emitter as built: tuples render as the
+    stdlib renders them, and a value a report cannot hold is refused."""
     value = {"4detH": 1.5, "ok": True, "none": None, "pair": (1, "a")}
-    assert Witness(("label", 2.5, -3), value).to_json() == {
+    report = _witness_report(Witness(("label", 2.5, -3), value))
+    parts = []
+    cli.render(report, "json", False, parts.append)
+    assert "".join(parts) == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    (task,) = json.loads("".join(parts))["tasks"]
+    assert task["details"]["certificate"]["witnesses"] == [{
         "point": ["label", 2.5, -3],
         "value": {"4detH": 1.5, "ok": True, "none": None, "pair": [1, "a"]},
-    }
-
-
-@pytest.mark.parametrize("value", [np.int64(1), 1j, object()], ids=["np.int64", "complex", "object"])
-def test_witness_refuses_data_that_is_not_json(value):
-    for witness in (Witness("label", value), Witness(["label", value], 0)):
-        with pytest.raises(TypeError):
-            witness.to_json()
+    }]
+    for bad in (np.int64(1), 1j, object()):
+        for witness in (Witness("label", bad), Witness(["label", bad], 0)):
+            with pytest.raises(TypeError):
+                cli.render(_witness_report(witness), "json", False, [].append)
 
 
 def _drop_timing(report):

@@ -2,7 +2,6 @@
 certificate, and gradient descent onto the model surfaces."""
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -376,26 +375,75 @@ def test_float_flow_is_bit_identical_to_the_numpy_stepper(kind, seed, level):
     assert repr(result) == repr(expected)  # signed zeros too
 
 
+class _CountingRng:
+    """A generator that counts its ``uniform`` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_sampler_draws_the_starts_of_the_pointc2_sampler(kind):
+    """Start for start and draw for draw, over runs that cross 1024-row
+    blocks, whole or cut short by the budget."""
     scenario._bind_localgeo()  # as a verify-local parse does before any run
     fld = model_field(kind)
     for seed in range(5):
-        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = itertools.repeat(None, scenario.MAX_FLOW_DRAWS)
-        points = scenario._uniform_rows(new, 0.6)
-        for _ in range(20):
-            start = scenario._sample_sublevel(fld, points, 0.01, draws)
-            assert start == _reference_sample(fld, old, 0.01, 0.6)
+        old = _CountingRng(seed)
+        expected = [(_reference_sample(fld, old, 0.01, 0.6), old.draws) for _ in range(250)]
+        starts, used = scenario._sublevel_starts(
+            fld, np.random.default_rng(seed), 250, 0.01, scenario.MAX_FLOW_DRAWS)
+        assert starts == [p for p, _ in expected]
+        assert used == old.draws > 1024
+        for budget in (used, used - 1, 1500, 1024, 1):
+            starts, spent = scenario._sublevel_starts(
+                fld, np.random.default_rng(seed), 250, 0.01, budget)
+            assert starts == [p for p, draws in expected if draws <= budget]
+            assert spent == min(used, budget)
 
 
 def test_block_draws_are_the_stream_of_single_draws():
     """Row for row, across the 1024-row block boundaries too."""
+    everywhere = ScalarField("zero", lambda x, y, u, v: 0.0 * x)
     for seed in range(3):
-        rows = scenario._uniform_rows(np.random.default_rng(seed), 0.6)
         single = np.random.default_rng(seed)
-        for _ in range(2051):
-            assert next(rows) == single.uniform(-0.6, 0.6, size=4).tolist()
+        expected = [PointC2.from_reals(*single.uniform(-0.6, 0.6, size=4).tolist())
+                    for _ in range(2051)]
+        for n, budget in ((2051, scenario.MAX_FLOW_DRAWS), (2051, 2050), (1025, 2051)):
+            starts, used = scenario._sublevel_starts(
+                everywhere, np.random.default_rng(seed), n, 1.0, budget)
+            assert starts == expected[:min(n, budget)]
+            assert used == min(n, budget)
+
+
+def test_a_flow_error_comes_before_the_draw_budget_error(monkeypatch):
+    """Every start drawn before the budget ran out is flowed first."""
+    scenario._bind_localgeo()
+    budget = 200
+    starts, _ = scenario._sublevel_starts(
+        model_field(MODEL_KINDS[0]), np.random.default_rng(scenario.DEFAULT_SEED), 25, 0.01,
+        budget)
+    assert 3 < len(starts) < 25
+    monkeypatch.setattr(scenario, "MAX_FLOW_DRAWS", budget)
+    (result,) = scenario.verify_local("flow", {"n": 25}).results
+    assert f"MAX_FLOW_DRAWS = {budget}" in result.details["error"]
+
+    flowed = []
+
+    def third_fails(fld, start):
+        flowed.append(start)
+        if len(flowed) == 3:
+            raise GeometryError("the third flow fails")
+        return flow_to_surface(fld, start)
+
+    monkeypatch.setattr(scenario, "flow_to_surface", third_fails)
+    (result,) = scenario.verify_local("flow", {"n": 25}).results
+    assert result.details == {"error": "the third flow fails"}
+    assert flowed == starts[:3]
 
 
 def test_flow_from_the_surface_is_immediate():
