@@ -99,23 +99,33 @@ def _witness_report(witness: Witness) -> Report:
     return Report((TaskResult("0:verify-local", True, {"certificate": cert.to_json()}, 0.0),))
 
 
-def test_render_is_the_one_gate_on_witness_data():
-    """Witness data reaches the emitter as built: tuples render as the
-    stdlib renders them, and a value a report cannot hold is refused."""
-    value = {"4detH": 1.5, "ok": True, "none": None, "pair": (1, "a")}
-    report = _witness_report(Witness(("label", 2.5, -3), value))
+def _render(report: Report) -> str:
     parts = []
     cli.render(report, "json", False, parts.append)
-    assert "".join(parts) == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-    (task,) = json.loads("".join(parts))["tasks"]
+    return "".join(parts)
+
+
+def test_witness_passes_plain_json_data_through():
+    """Witness data reaches the emitter as built: tuples render as the
+    stdlib renders them."""
+    value = {"4detH": 1.5, "ok": True, "none": None, "pair": (1, "a")}
+    report = _witness_report(Witness(("label", 2.5, -3), value))
+    text = _render(report)
+    assert text == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    (task,) = json.loads(text)["tasks"]
     assert task["details"]["certificate"]["witnesses"] == [{
         "point": ["label", 2.5, -3],
         "value": {"4detH": 1.5, "ok": True, "none": None, "pair": [1, "a"]},
     }]
-    for bad in (np.int64(1), 1j, object()):
-        for witness in (Witness("label", bad), Witness(["label", bad], 0)):
-            with pytest.raises(TypeError):
-                cli.render(_witness_report(witness), "json", False, [].append)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), 1j, object()], ids=["np.int64", "complex", "object"])
+def test_witness_refuses_data_that_is_not_json(value):
+    """The emitter is the one gate on witness data: a value a report
+    cannot hold is refused when the report is rendered."""
+    for witness in (Witness("label", value), Witness(["label", value], 0)):
+        with pytest.raises(TypeError):
+            _render(_witness_report(witness))
 
 
 def _drop_timing(report):
