@@ -13,8 +13,8 @@ needs exponentially stretched steps rather than more of them.
 The stepper runs on Python floats, coordinate by coordinate, with the
 IEEE operations of the vector formulas c + (dt/2) k and
 c + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) in the same order, so its
-trajectory is bit for bit the one a float64 array stepper takes.  Each
-candidate is built once as a :class:`PointC2`; only the last value is kept.
+trajectory of (x, y, u, v) floats is bit for bit a float64 array stepper's.
+Each candidate is checked as a :class:`PointC2` is; only the last value is kept.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ _BOX = Box4.symmetric(2.0)
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Accepted points, each of lower value than the one before, and the last value."""
+    """Accepted (x, y, u, v) points, each of lower value than the last, and the final value."""
 
-    trajectory: tuple[PointC2, ...]
+    trajectory: tuple[tuple[float, float, float, float], ...]
     final_value: float
     converged: bool
 
@@ -74,7 +74,7 @@ def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
 
     x, y, u, v = start.reals
     value = field.value_at(start)
-    trajectory = [start]
+    trajectory = [start.reals]
     dt = _FIRST_STEP
     converged = value <= CONVERGED_VALUE
 
@@ -91,7 +91,7 @@ def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
         ny = y + sixth * (((ay + 2 * by) + 2 * cy) + dy)
         nu = u + sixth * (((au + 2 * bu) + 2 * cu) + du)
         nv = v + sixth * (((av + 2 * bv) + 2 * cv) + dv)
-        candidate = PointC2.from_reals(nx, ny, nu, nv)
+        _check_point(nx, ny, nu, nv)
         inside = xl <= nx <= xh and yl <= ny <= yh and ul <= nu <= uh and vl <= nv <= vh
         if inside:
             new_value = float(value_of(nx, ny, nu, nv))
@@ -108,7 +108,7 @@ def flow_to_surface(field: ScalarField, start: PointC2) -> FlowResult:
             continue
         x, y, u, v = nx, ny, nu, nv
         value = new_value
-        trajectory.append(candidate)
+        trajectory.append((nx, ny, nu, nv))
         dt *= _GROWTH
         if value <= CONVERGED_VALUE:
             converged = True

@@ -138,12 +138,15 @@ def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
     with np.errstate(all="ignore"):
         det = np.broadcast_to(np.asarray(patch.det(s, t), dtype=complex), shape)
     if not np.all(np.isfinite(_distinct(det))):
-        at = np.unravel_index(int(np.argmax(~np.isfinite(det))), shape)
-        sb, tb = np.broadcast_to(s, shape)[at], np.broadcast_to(t, shape)[at]
-        raise GeometryError(
-            f"patch {patch.name} has non-finite tangent data at (s, t) = ({sb}, {tb})"
-        )
+        raise _nonfinite(patch, s, t, det)
     return det
+
+
+def _nonfinite(patch: SurfacePatch, s, t, det) -> GeometryError:
+    """The error naming the first (s, t), in row-major order, where ``det`` is not finite."""
+    at = np.unravel_index(int(np.argmax(~np.isfinite(det))), det.shape)
+    sb, tb = np.broadcast_to(s, det.shape)[at], np.broadcast_to(t, det.shape)[at]
+    return GeometryError(f"patch {patch.name} has non-finite tangent data at (s, t) = ({sb}, {tb})")
 
 
 # ---------------------------------------------------------------------------
@@ -151,51 +154,55 @@ def det_arrays(patch: SurfacePatch, s, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _windings(patch: SurfacePatch, sample: Callable, count: int, n: int) -> list[int]:
-    """Windings of the tangent determinant along ``count`` closed loops.
+def _windings(patch: SurfacePatch, sample: Callable, count: int, n: int) -> list:
+    """Each of ``count`` closed loops' winding of the tangent determinant,
+    or the GeometryError that loop raises when it is wound alone.
 
     ``sample(rows, n)`` returns s and t arrays with one row of n points
     per loop in ``rows``, each loop closed implicitly.  A loop's sample
-    count doubles from ``n`` until every argument increment on it is below
-    pi/2, which makes its accumulated total unambiguous.  Pending loops
-    share det calls of at most MAX_WINDING_SAMPLES samples; each row gets
-    the checks it gets wound alone, and only unresolved rows double.  So a
-    loop's winding or error is the one it gives alone, and the call raises
-    exactly when some loop does.
+    count doubles from ``n`` until it fails or every argument increment on
+    it is below pi/2, which makes its accumulated total unambiguous.
+    Pending loops share det calls of at most MAX_WINDING_SAMPLES samples.
     """
-    windings = [0] * count
+    outcomes: list = [None] * count
     pending = list(range(count))
     while pending:
         unresolved = []
         per_call = MAX_WINDING_SAMPLES // n
         for first in range(0, len(pending), per_call):
             rows = pending[first:first + per_call]
-            det = det_arrays(patch, *sample(rows, n))
-            mags = np.abs(det)
-            vanish = np.min(mags, axis=1) <= 1e-9 * np.max(mags, axis=1)
-            # Subnormal determinants overflow here; the checks after it refuse them.
+            s, t = sample(rows, n)
+            # Overflowing and subnormal determinants are refused row by row below.
             with np.errstate(all="ignore"):
+                det = np.broadcast_to(np.asarray(patch.det(s, t), dtype=complex), s.shape)
+                finite = np.all(np.isfinite(det), axis=1)
+                mags = np.abs(det)
+                vanish = np.min(mags, axis=1) <= 1e-9 * np.max(mags, axis=1)
                 steps = np.angle(np.roll(det, -1, axis=1) / det)
-            settled = np.max(np.abs(steps), axis=1) < 0.5 * math.pi
-            for k, row, gone, done in zip(rows, steps, vanish, settled):
-                if gone:
-                    raise GeometryError(
+                settled = np.max(np.abs(steps), axis=1) < 0.5 * math.pi
+            totals = (np.sum(steps, axis=1) / (2 * math.pi)).tolist()
+            for i, k in enumerate(rows):
+                if not finite[i]:
+                    outcomes[k] = _nonfinite(patch, s[i], t[i], det[i])
+                elif vanish[i]:
+                    outcomes[k] = GeometryError(
                         "tangent determinant vanishes on the loop; move or shrink it"
                     )
-                if done:
-                    total = float(np.sum(row)) / (2 * math.pi)
-                    windings[k] = round(total)
-                    if abs(total - windings[k]) > 0.01:
-                        raise GeometryError(
-                            f"winding total {total} is not an integer; loop too close to a zero"
-                        )
+                elif settled[i] and abs(totals[i] - round(totals[i])) <= 0.01:
+                    outcomes[k] = round(totals[i])
+                elif settled[i]:
+                    outcomes[k] = GeometryError(
+                        f"winding total {totals[i]} is not an integer; loop too close to a zero"
+                    )
                 elif n >= MAX_WINDING_SAMPLES:
-                    raise GeometryError("winding did not stabilize; zero too close to the loop")
+                    outcomes[k] = GeometryError(
+                        "winding did not stabilize; zero too close to the loop"
+                    )
                 else:
                     unresolved.append(k)
         pending = unresolved
         n *= 2
-    return windings
+    return outcomes
 
 
 def winding_index(patch: SurfacePatch, center: tuple[float, float], radius: float) -> int:
@@ -204,30 +211,41 @@ def winding_index(patch: SurfacePatch, center: tuple[float, float], radius: floa
     This equals the index of an isolated complex point enclosed by the
     circle, relative to the parametrization's orientation.
     """
-    if radius <= 0:
-        raise GeometryError(f"radius must be positive, got {radius}")
     s0, t0 = center
+    if not (radius > 0 and math.isfinite(radius)):
+        raise GeometryError(f"radius must be positive and finite, got {radius}")
+    if not (math.isfinite(s0) and math.isfinite(t0)):
+        raise GeometryError(f"center must be finite, got {center}")
 
     def sample(rows, n):
         ang = 2 * math.pi * np.arange(n) / n
         return s0 + radius * np.cos(ang)[None], t0 + radius * np.sin(ang)[None]
 
-    return _windings(patch, sample, 1, CIRCLE_WINDING_SAMPLES)[0]
+    (winding,) = _windings(patch, sample, 1, CIRCLE_WINDING_SAMPLES)
+    if isinstance(winding, GeometryError):
+        raise winding
+    return winding
 
 
-def _rect_windings(patch: SurfacePatch, rects: list[Rect]) -> list[int]:
-    """Windings of the tangent determinant around rectangles, each edge
-    a -> b, counterclockwise from (s0, t0), sampled as a + frac (b - a)."""
-    corners = np.array([[[r.s0, r.t0], [r.s1, r.t0], [r.s1, r.t1], [r.s0, r.t1]] for r in rects])
+def _rect_sampler(rects: list[Rect]) -> Callable:
+    """Loops for _windings: edges a -> b, counterclockwise from (s0, t0), at a + frac (b - a)."""
+    corners = np.array([[[r.s0, r.s1, r.s1, r.s0], [r.t0, r.t0, r.t1, r.t1]] for r in rects])
 
     def sample(rows, n):
         m = max(n // 4, 16)
-        a = corners[rows, :, None]
-        frac = np.arange(m)[:, None] / m
-        pts = (a + frac * (np.roll(a, -1, axis=1) - a)).reshape(len(rows), -1, 2)
-        return pts[..., 0], pts[..., 1]
+        a = corners[rows, :, :, None]
+        pts = a + np.arange(m) / m * (np.roll(a, -1, axis=2) - a)
+        return pts[:, 0].reshape(len(rows), -1), pts[:, 1].reshape(len(rows), -1)
 
-    return _windings(patch, sample, len(rects), MIN_WINDING_SAMPLES)
+    return sample
+
+
+def _rect_windings(patch: SurfacePatch, rects: list[Rect]) -> list[int]:
+    """Windings of the determinant around rectangles; raises the first failing rect's error."""
+    windings = _windings(patch, _rect_sampler(rects), len(rects), MIN_WINDING_SAMPLES)
+    for error in (w for w in windings if isinstance(w, GeometryError)):
+        raise error
+    return windings
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +288,14 @@ _MAX_BISECTIONS = 90
 
 
 def _subdivide(rect: Rect, fs: float, ft: float) -> list[Rect]:
+    """The four sub-cells of ``rect`` split at fractions (fs, ft) of its
+    sides, or none where the split point rounds onto an edge."""
     sm = rect.s0 + fs * (rect.s1 - rect.s0)
     tm = rect.t0 + ft * (rect.t1 - rect.t0)
-    return [
-        Rect(rect.s0, sm, rect.t0, tm),
-        Rect(sm, rect.s1, rect.t0, tm),
-        Rect(rect.s0, sm, tm, rect.t1),
-        Rect(sm, rect.s1, tm, rect.t1),
-    ]
+    if not (rect.s0 < sm < rect.s1 and rect.t0 < tm < rect.t1):
+        return []
+    return [Rect(rect.s0, sm, rect.t0, tm), Rect(sm, rect.s1, rect.t0, tm),
+            Rect(rect.s0, sm, tm, rect.t1), Rect(sm, rect.s1, tm, rect.t1)]
 
 
 def _orientation_sign(patch: SurfacePatch, s: float, t: float) -> int:
@@ -297,52 +315,53 @@ def _orientation_sign(patch: SurfacePatch, s: float, t: float) -> int:
 def _refine_zeros(
     patch: SurfacePatch, cells: list[Rect], windings: list[int]
 ) -> list[LocatedComplexPoint]:
-    """Shrink each cell of nonzero winding down to its zeros, in order and
-    each depth-first; the four sub-cells of a split are wound in one call."""
+    """Shrink each cell of nonzero winding down to its zeros one bisection
+    level at a time, winding a level's splits in one call per fraction: the
+    cells with a failing loop try the next one together.  A level's first
+    failing cell raises, centre checks before splits."""
     found: list[LocatedComplexPoint] = []
-    stack = [(cell, w, 0) for cell, w in zip(cells, windings) if w][::-1]
-    while stack:
-        rect, w, depth = stack.pop()
-        sc = 0.5 * (rect.s0 + rect.s1)
-        tc = 0.5 * (rect.t0 + rect.t1)
-        d = abs(complex(det_arrays(patch, sc, tc)))
-        if d < ZERO_TOL:
-            sign = _orientation_sign(patch, sc, tc)
-            found.append(
-                LocatedComplexPoint(
-                    s=float(sc),
-                    t=float(tc),
-                    point=patch.point(sc, tc),
-                    index=sign * w,
-                    raw_winding=w,
-                    orientation_sign=sign,
-                    det_abs=d,
+    level = [(cell, w) for cell, w in zip(cells, windings) if w]
+    depth = 0
+    while level:
+        split = []
+        for rect, w in level:
+            sc = 0.5 * (rect.s0 + rect.s1)
+            tc = 0.5 * (rect.t0 + rect.t1)
+            d = abs(complex(det_arrays(patch, sc, tc)))
+            if d < ZERO_TOL:
+                sign = _orientation_sign(patch, sc, tc)
+                found.append(LocatedComplexPoint(
+                    s=float(sc), t=float(tc), point=patch.point(sc, tc), index=sign * w,
+                    raw_winding=w, orientation_sign=sign, det_abs=d))
+            elif depth >= _MAX_BISECTIONS:
+                raise GeometryError(
+                    f"zero cluster in patch {patch.name} unresolved near "
+                    f"({sc}, {tc}); |det| = {d} after {depth} bisections"
                 )
-            )
-            continue
-        if depth >= _MAX_BISECTIONS:
-            raise GeometryError(
-                f"zero cluster in patch {patch.name} unresolved near "
-                f"({sc}, {tc}); |det| = {d} after {depth} bisections"
-            )
+            else:
+                split.append((rect, w, sc, tc))
+        wound: list = [[] for _ in split]
         for fs, ft in _SPLIT_FRACTIONS:
-            try:
-                subcells = _subdivide(rect, fs, ft)
-                windings = _rect_windings(patch, subcells)
+            tried = [(k, _subdivide(split[k][0], fs, ft)) for k, got in enumerate(wound) if not got]
+            if not tried:
                 break
-            except GeometryError:
-                continue
-        else:
-            raise GeometryError(
-                f"could not subdivide around ({sc}, {tc}) in patch {patch.name}"
-            )
-        if sum(windings) != w:
-            raise GeometryError(
-                f"winding mismatch while refining patch {patch.name} near ({sc}, {tc})"
-            )
-        for sub, sw in zip(subcells, windings):
-            if sw != 0:
-                stack.append((sub, sw, depth + 1))
+            rects = [sub for _, subs in tried for sub in subs]
+            outcomes = iter(_windings(patch, _rect_sampler(rects), len(rects), MIN_WINDING_SAMPLES))
+            for k, subs in tried:
+                got = [(sub, next(outcomes)) for sub in subs]
+                wound[k] = [] if any(isinstance(sw, GeometryError) for _, sw in got) else got
+        level = []
+        for (_, w, sc, tc), got in zip(split, wound):
+            if not got:
+                raise GeometryError(
+                    f"could not subdivide around ({sc}, {tc}) in patch {patch.name}"
+                )
+            if sum(sw for _, sw in got) != w:
+                raise GeometryError(
+                    f"winding mismatch while refining patch {patch.name} near ({sc}, {tc})"
+                )
+            level += [(sub, sw) for sub, sw in got if sw]
+        depth += 1
     return found
 
 
@@ -422,7 +441,7 @@ def locate_complex_points(patch: SurfacePatch, grid_step: float) -> list[Located
     """
     cells = []
     for s_nodes, t_nodes, first, det in _det_blocks(patch, grid_step):
-        if np.any(_distinct(det) == 0):
+        if not np.all(_distinct(det)):
             raise GeometryError(
                 f"determinant vanishes exactly on a grid node of {patch.name}; "
                 "perturb grid_step"

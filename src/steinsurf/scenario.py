@@ -452,7 +452,7 @@ def _sublevel_starts(field, rng, n: int, level: float, budget: int):
     return starts, used
 
 
-# Each flow start runs one RK4 flow per model (about 0.23 ms for both on a
+# Each flow start runs one RK4 flow per model (about 0.17 ms for both on a
 # 2-vCPU Xeon), so the start count is bounded before any sampling.  A draw
 # costs about 40 ns; at the default level a start pair takes about 52
 # draws, so MAX_FLOW_STARTS pairs fit in the one draw budget of a run,

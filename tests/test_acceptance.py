@@ -323,7 +323,7 @@ def test_criterion_09_retraction_flows():
             result = flow_to_surface(fld, start)
             if not result.converged or result.final_value >= 1e-10:
                 problems.append(f"{kind}: start {coords} final {result.final_value}")
-            values = [fld.value_at(p) for p in result.trajectory]
+            values = [fld.value_at(PointC2.from_reals(*p)) for p in result.trajectory]
             if any(b > a for a, b in zip(values, values[1:])):
                 problems.append(f"{kind}: non-monotone values from {coords}")
     _verdict(9, problems, started, budget=30.0)

@@ -65,6 +65,20 @@ def test_winding_parameter_validation():
         winding_index(patch, (0, 0), 0.0)
 
 
+@pytest.mark.parametrize("center, radius, message", [
+    ((0, 0), math.inf, "radius must be positive and finite, got inf"),
+    ((0, 0), math.nan, "radius must be positive and finite, got nan"),
+    ((0, 0), -math.inf, "radius must be positive and finite, got -inf"),
+    ((math.nan, 0.0), 0.5, "center must be finite, got (nan, 0.0)"),
+    ((0.0, math.inf), 0.5, "center must be finite, got (0.0, inf)"),
+], ids=["inf", "nan", "-inf", "nan-center", "inf-center"])
+def test_winding_index_refuses_a_non_finite_circle_by_name(center, radius, message):
+    """Not as non-finite tangent data of the patch, and with no warning."""
+    with pytest.raises(GeometryError) as refused:
+        winding_index(model_patch(MODEL_GRAPH_ELLIPTIC), center, radius)
+    assert str(refused.value) == message
+
+
 def test_conjugate_graph_rejects_bad_power():
     with pytest.raises(GeometryError):
         conjugate_graph(0)
@@ -711,9 +725,11 @@ def _reference_rect_winding(patch, rect):
 
 
 def _reference_winding_index(patch, center, radius):
-    if radius <= 0:
-        raise GeometryError(f"radius must be positive, got {radius}")
     s0, t0 = center
+    if not (radius > 0 and math.isfinite(radius)):
+        raise GeometryError(f"radius must be positive and finite, got {radius}")
+    if not (math.isfinite(s0) and math.isfinite(t0)):
+        raise GeometryError(f"center must be finite, got {center}")
 
     def sample_loop(n):
         ang = 2 * math.pi * np.arange(n) / n
@@ -723,16 +739,54 @@ def _reference_winding_index(patch, center, radius):
 
 
 def _batch_matches_the_reference(patch, rects):
-    """The batch raises exactly when some rect raises on its own, and
-    otherwise returns the rects' own windings; returns whether it raised."""
+    """The batch raises the first failing rect's own error, and otherwise
+    returns the rects' own windings; returns whether it raised."""
     own = [_outcome(_reference_rect_winding, patch, rect) for rect in rects]
     batch = _outcome(patches._rect_windings, patch, rects)
-    if any(status == "error" for status, _ in own):
-        assert batch[0] == "error"
-        assert batch[1] in {message for status, message in own if status == "error"}
+    errors = [message for status, message in own if status == "error"]
+    if errors:
+        assert batch == ("error", errors[0])
         return True
     assert batch == ("ok", [w for _, w in own])
     return False
+
+
+def test_a_batch_raises_its_first_failing_rect_s_own_error():
+    """Rects failing with different messages, in both orders: one with a
+    corner on the elliptic graph's zero, one where det is made infinite."""
+    base = model_patch(MODEL_GRAPH_ELLIPTIC)
+    patch = dataclasses.replace(
+        base, det=lambda s, t: np.where(np.asarray(s) > 0.5, np.inf, base.det(s, t))
+    )
+    on_zero, infinite = Rect(0.0, 0.2, 0.0, 0.2), Rect(0.6, 0.8, 0.0, 0.2)
+    fine = Rect(-0.8, -0.6, 0.3, 0.5)
+    for rects in ([on_zero, fine, infinite], [infinite, fine, on_zero]):
+        assert _batch_matches_the_reference(patch, rects)
+    assert _outcome(patches._rect_windings, patch, [on_zero, infinite]) != _outcome(
+        patches._rect_windings, patch, [infinite, on_zero]
+    )
+
+
+def _wound_rects(monkeypatch, patch, grid_step):
+    """locate_complex_points(patch, grid_step), and every rect list it
+    winds, with the outcome of each rect, call by call."""
+    wound = []
+    sampler, windings = patches._rect_sampler, patches._windings
+
+    def recording_sampler(rects):
+        wound.append((list(rects), None))
+        return sampler(rects)
+
+    def recording_windings(*args):
+        outcomes = windings(*args)
+        wound[-1] = (wound[-1][0], outcomes)
+        return outcomes
+
+    monkeypatch.setattr(patches, "_rect_sampler", recording_sampler)
+    monkeypatch.setattr(patches, "_windings", recording_windings)
+    found = locate_complex_points(patch, grid_step)
+    monkeypatch.undo()
+    return found, wound
 
 
 @pytest.mark.parametrize("kind, epsilon", [
@@ -740,23 +794,167 @@ def _batch_matches_the_reference(patch, rects):
     (MODEL_GRAPH_ELLIPTIC, None), (MODEL_GRAPH_HYPERBOLIC, None), ("cubic", None),
 ])
 def test_batched_windings_match_the_reference_at_every_split(monkeypatch, kind, epsilon):
+    """The candidate cells are wound in one call, then each bisection level
+    in one call per split fraction; every rect gets its own outcome."""
     patch = _antiholomorphic_cubic() if kind == "cubic" else model_patch(kind, epsilon)
-    batched = patches._rect_windings
-    calls = []
-
-    def recording(patch, rects):
-        calls.append(list(rects))
-        return batched(patch, rects)
-
-    monkeypatch.setattr(patches, "_rect_windings", recording)
-    found = locate_complex_points(patch, grid_step=0.05)
-    monkeypatch.undo()
+    found, ((cells, _), *levels) = _wound_rects(monkeypatch, patch, 0.05)
     # A 0.05 cell takes about 20 splits to bring |det| below ZERO_TOL.
     assert found
-    splits = [rects for rects in calls if len(rects) == 4]
+    splits = [rects[i:i + 4] for rects, _ in levels for i in range(0, len(rects), 4)]
     assert len(splits) >= 20 * len(found)
-    for rects in calls:
-        _batch_matches_the_reference(patch, rects)
+    _batch_matches_the_reference(patch, cells)
+    for rects, outcomes in levels:
+        assert len(rects) % 4 == 0
+        own = [_outcome(_reference_rect_winding, patch, rect) for rect in rects]
+        assert own == [
+            ("error", str(o)) if isinstance(o, GeometryError) else ("ok", o) for o in outcomes
+        ]
+
+
+# ---------------------------------------------------------------------------
+# The level-order refinement against the depth-first one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_subdivide(rect, fs, ft):
+    sm = rect.s0 + fs * (rect.s1 - rect.s0)
+    tm = rect.t0 + ft * (rect.t1 - rect.t0)
+    return [
+        Rect(rect.s0, sm, rect.t0, tm),
+        Rect(sm, rect.s1, rect.t0, tm),
+        Rect(rect.s0, sm, tm, rect.t1),
+        Rect(sm, rect.s1, tm, rect.t1),
+    ]
+
+
+def _reference_refine_zeros(patch, cells, windings):
+    """Reference: the depth-first refinement, one winding call per split."""
+    found = []
+    stack = [(cell, w, 0) for cell, w in zip(cells, windings) if w][::-1]
+    while stack:
+        rect, w, depth = stack.pop()
+        sc = 0.5 * (rect.s0 + rect.s1)
+        tc = 0.5 * (rect.t0 + rect.t1)
+        d = abs(complex(det_arrays(patch, sc, tc)))
+        if d < patches.ZERO_TOL:
+            sign = patches._orientation_sign(patch, sc, tc)
+            found.append(
+                patches.LocatedComplexPoint(
+                    s=float(sc),
+                    t=float(tc),
+                    point=patch.point(sc, tc),
+                    index=sign * w,
+                    raw_winding=w,
+                    orientation_sign=sign,
+                    det_abs=d,
+                )
+            )
+            continue
+        if depth >= patches._MAX_BISECTIONS:
+            raise GeometryError(
+                f"zero cluster in patch {patch.name} unresolved near "
+                f"({sc}, {tc}); |det| = {d} after {depth} bisections"
+            )
+        for fs, ft in patches._SPLIT_FRACTIONS:
+            try:
+                subcells = _reference_subdivide(rect, fs, ft)
+                windings = patches._rect_windings(patch, subcells)
+                break
+            except GeometryError:
+                continue
+        else:
+            raise GeometryError(
+                f"could not subdivide around ({sc}, {tc}) in patch {patch.name}"
+            )
+        if sum(windings) != w:
+            raise GeometryError(
+                f"winding mismatch while refining patch {patch.name} near ({sc}, {tc})"
+            )
+        for sub, sw in zip(subcells, windings):
+            if sw != 0:
+                stack.append((sub, sw, depth + 1))
+    return found
+
+
+def _two_close_zeros():
+    """Graph with df/dzbar = (zbar - conj a)(zbar - conj b): two zeros of
+    index -1, 0.02 apart, inside one cell of the step-0.1 grid."""
+    ca, cb = (0.013 - 0.011j), (0.013 - 0.031j)
+
+    def zbar(s, t):
+        return np.asarray(s) - 1j * np.asarray(t)
+
+    return patches._graph_patch(
+        "TwoCloseZeros",
+        lambda s, t: zbar(s, t) ** 3 / 3 - (ca + cb) * zbar(s, t) ** 2 / 2 + ca * cb * zbar(s, t),
+        lambda s, t: (zbar(s, t) - ca) * (zbar(s, t) - cb),
+    )
+
+
+def _zero_on_the_first_split():
+    """Graph with df/dzbar = zbar - conj c: one zero of index -1 on the
+    (0.5, 0.5) split line of its step-0.1 cell, exactly on a sample of a
+    sub-cell's edge.  That split fails, and the next fraction is tried."""
+    s_nodes, t_nodes = patches._cell_nodes(Rect(-1.0, 1.0, -1.0, 1.0), 0.1)
+    s0, s1, t0, t1 = s_nodes[10], s_nodes[11], t_nodes[10], t_nodes[11]
+    tm = t0 + 0.5 * (t1 - t0)
+    cc = complex(s0 + 0.5 * (s1 - s0), -(t0 + 0.25 * (tm - t0)))
+
+    def zbar(s, t):
+        return np.asarray(s) - 1j * np.asarray(t)
+
+    return patches._graph_patch(
+        "ZeroOnTheFirstSplit", lambda s, t: zbar(s, t) ** 2 / 2 - cc * zbar(s, t),
+        lambda s, t: zbar(s, t) - cc,
+    )
+
+
+def _located(patch, grid_step):
+    """Every located point as JSON with repr'd det_abs, or the error kind:
+    the message up to its first parenthesis."""
+    try:
+        found = locate_complex_points(patch, grid_step)
+    except GeometryError as exc:
+        return "error", str(exc).split("(")[0]
+    return "ok", [(p.to_json(), repr(p.det_abs)) for p in found]
+
+
+_REFINE_CASES = [
+    *[(MODEL_SIGMA_MINUS, eps, step) for eps in (0.1, -0.07, 0.178) for step in (0.004, 0.05)],
+    *[(kind, None, step)
+      for kind in (MODEL_GRAPH_ELLIPTIC, MODEL_GRAPH_HYPERBOLIC, "cubic", "conjugate3", "two_zeros")
+      for step in (0.05, 0.1)],
+    ("zero_on_a_split", None, 0.1),
+    (MODEL_SIGMA_MINUS, 1e6, 0.05),
+    (MODEL_SIGMA_MINUS, 1e300, 0.05),
+]
+
+
+@pytest.mark.parametrize("kind, epsilon, step", _REFINE_CASES)
+def test_level_order_refine_matches_the_depth_first_refine(kind, epsilon, step):
+    """Bit for bit where the depth-first refine locates points, and with
+    the same kind of error where it fails (sigma_minus at 1e6 and 1e300)."""
+    patch = {
+        "cubic": _antiholomorphic_cubic, "conjugate3": lambda: conjugate_graph(3),
+        "two_zeros": _two_close_zeros, "zero_on_a_split": _zero_on_the_first_split,
+    }.get(kind, lambda: model_patch(kind, epsilon))()
+    levels = _located(patch, step)
+    with mock.patch.object(patches, "_refine_zeros", _reference_refine_zeros):
+        assert levels == _located(patch, step)
+    if epsilon in (1e6, 1e300):
+        assert levels == ("error", "could not subdivide around ")
+    else:
+        assert levels[0] == "ok" and levels[1]
+
+
+def test_sigma_minus_is_located_in_few_winding_calls():
+    """One call for the candidate cells, then one per bisection level and
+    split fraction: 21 for the benchmark's sigma_minus grid, where
+    winding each split on its own took 81."""
+    patch = model_patch(MODEL_SIGMA_MINUS, 0.1)
+    with mock.patch.object(patches, "_windings", wraps=patches._windings) as windings:
+        assert len(locate_complex_points(patch, grid_step=0.004)) == 4
+    assert windings.call_count <= 25
 
 
 def _random_rect(rng):
@@ -807,6 +1005,7 @@ def test_batched_windings_match_the_reference_on_random_rects():
     ((0, 0), 0.5), ((0.3, 0.0), 0.3), ((0.7, 0.7), 0.2), ((0, 0), 0.8),
     ((0.01, 0), 1e-2), ((0, 0), 1e300), ((0, 0), 0.0), ((0, 0), -1.0),
     ((0, 0), 1e-310), ((0, 0), 1e-320), ((0, 0), 5e-324),
+    ((0, 0), math.inf), ((0, 0), math.nan), ((math.nan, 0), 0.5), ((0, math.inf), 0.5),
 ])
 def test_winding_index_matches_the_reference(kind, center, radius):
     patch = _antiholomorphic_cubic() if kind == "cubic" else model_patch(kind)

@@ -3,6 +3,7 @@ certificate, and gradient descent onto the model surfaces."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,9 +286,34 @@ def test_flow_reaches_the_surface_monotonically(kind):
     result = flow_to_surface(fld, PointC2.from_reals(0.3, -0.2, 0.25, 0.1))
     assert result.converged
     assert result.final_value <= 1e-10
-    values = [fld.value_at(p) for p in result.trajectory]
+    values = [fld.value_at(PointC2.from_reals(*p)) for p in result.trajectory]
     assert values[-1] == result.final_value
     assert np.all(np.diff(values) < 0)
+
+
+def test_flow_keeps_its_trajectory_as_floats():
+    """No PointC2 is built besides the start: the RK4 candidates are
+    checked as floats and kept as (x, y, u, v) tuples."""
+    fld = model_field(MODEL_DOUBLE_POINT)
+    start = PointC2.from_reals(0.3, -0.2, 0.25, 0.1)
+    with mock.patch.object(PointC2, "__post_init__", autospec=True,
+                           side_effect=PointC2.__post_init__) as built:
+        result = flow_to_surface(fld, start)
+    assert built.call_count == 0
+    assert len(result.trajectory) > 20
+    assert result.trajectory[0] == start.reals
+    assert all(type(c) is float for point in result.trajectory for c in point)
+
+
+def test_flow_refuses_a_non_finite_rk4_candidate_as_a_point():
+    """Every stage point is finite, but the RK4 sum overflows."""
+    steep = ScalarField(
+        "steep",
+        lambda x, y, u, v: 1.0 - x,
+        gradient=lambda x, y, u, v: (-1e308, 0.0, 0.0, 0.0),
+    )
+    with pytest.raises(GeometryError, match=r"^non-finite point \(\(inf\+0j\), 0j\)$"):
+        flow_to_surface(steep, PointC2.from_reals(0.0, 0.0, 0.0, 0.0))
 
 
 def test_flow_evaluates_the_field_once_per_attempted_step():
@@ -322,12 +348,12 @@ def _reference_descent(field, coords):
 
 
 def _reference_flow(field, start):
-    """The numpy-vector RK4 stepper with a PointC2 per stage, the reference
-    the float stepper must match bit for bit."""
+    """The numpy-vector RK4 stepper with a PointC2 per stage and candidate,
+    the reference the float stepper must match bit for bit."""
     box = Box4.symmetric(2.0)
     coords = np.array(start.reals, dtype=float)
     value = float(field.value_at(start))
-    trajectory = [start]
+    trajectory = [start.reals]
     dt = 0.05
     converged = value <= flow.CONVERGED_VALUE
     for _ in range(5000):
@@ -349,7 +375,7 @@ def _reference_flow(field, start):
                 break
             continue
         coords, value = candidate, new_value
-        trajectory.append(point)
+        trajectory.append(tuple(candidate.tolist()))
         dt *= flow._GROWTH
         converged = value <= flow.CONVERGED_VALUE
     return flow.FlowResult(tuple(trajectory), value, converged)
@@ -500,4 +526,4 @@ def test_flow_iteration_budget(monkeypatch):
     assert not result.converged
     assert result.final_value > 1e-10
     assert len(result.trajectory) <= 4
-    assert result.final_value == fld.value_at(result.trajectory[-1])
+    assert result.final_value == fld.value_at(PointC2.from_reals(*result.trajectory[-1]))
