@@ -24,7 +24,6 @@ from .errors import (
     GeometryError,
     InfeasibleTargetError,
     InvalidClassError,
-    NumericalError,
     ScenarioError,
     SteinsurfError,
     SurgeryError,

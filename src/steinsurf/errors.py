@@ -41,14 +41,9 @@ class SurgeryError(SteinsurfError, ValueError):
 
 
 class GeometryError(SteinsurfError, ValueError):
-    """Invalid geometric input: degenerate tangents, a start outside the
-    flow box, non-transverse planes, an unknown model kind."""
-
-
-class NumericalError(SteinsurfError, RuntimeError):
-    """A numerical routine could not certify its own output: winding
-    samples hitting a near-zero value, unresolved zero clusters,
-    non-finite field values, or a stagnating descent."""
+    """Invalid geometric input or a numeric routine that cannot certify
+    its output: degenerate tangents, non-finite field values, winding
+    samples near zero, unsettled zero clusters, a flow draw budget spent."""
 
 
 class ScenarioError(SteinsurfError, ValueError):

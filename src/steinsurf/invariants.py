@@ -305,7 +305,7 @@ def adjunction_rhs(imm: ImmersionClass) -> int:
     if not imm.orientable:
         raise InvalidClassError("adjunction bounds are for orientable classes only")
     if odd_parity(imm):
-        raise InvalidClassError("parity violation: adjunction right-hand side not integral")
+        raise InvalidClassError(PARITY_VIOLATION)
     doubled = 2 + imm.self_intersection + abs(imm.c1_pairing)
     # Parity of self_intersection + |c1| matches the validated parity sum,
     # so the division below is exact.
@@ -480,8 +480,6 @@ def verdict(imm: ImmersionClass, ambient: AmbientDescriptor, class_nonzero: bool
 
     ``class_nonzero`` is never inferred from the other data.
     """
-    if odd_parity(imm):
-        raise InvalidClassError("verdict requires a class passing validate()")
     sc = stein_condition(imm)
     if sc.passed:
         return Verdict(OUTCOME_STEIN, RULE_INDEX_NONPOSITIVE, sc.witnesses)

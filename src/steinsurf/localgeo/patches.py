@@ -36,13 +36,15 @@ on the last row of the one before, so every cell, and every s edge, has
 its nodes in one block and the candidate cells come out in row-major
 order.  The block is 2^16 nodes, not the 4-D sweeps' 2^13: a row holds
 up to about 1,570 t nodes at step 0.004, so a 2^13-node block is five
-rows and the shared rows would redo a fifth of them; such blocks
-measured no faster on the adaptive patch checks.  A block is evaluated
-on broadcast axes, the rows' s nodes as a column against the t nodes as
-a row, and every pass over it runs on its distinct values
-(``_distinct``), so a det of s or t alone (SigmaPlus, Weinstein) is
-computed, checked, screened and minimised once per axis, and no meshgrid
-is built; memory is bounded by the block, not by the grid step.
+rows and the shared rows would redo a fifth of them.  Four sigma_handles
+tasks and weinstein at step 0.004 took about 1.8 times as long with
+2^13-node blocks (2-vCPU Xeon), so re-measure before merging the two
+``DEFAULT_CHUNK`` constants.  A block is evaluated on broadcast axes,
+the rows' s nodes as a column against the t nodes as a row, and every
+pass over it runs on its distinct values (``_distinct``), so a det of s
+or t alone (SigmaPlus, Weinstein) is computed, checked, screened and
+minimised once per axis, and no meshgrid is built; memory is bounded by
+the block, not by the grid step.
 
 The nodes of a rectangle sit at lo + (k + 0.382) step on each axis, for
 k < count = max(floor((hi - lo) / step), 2), so the cells span
@@ -535,6 +537,8 @@ def model_patch(kind: str, epsilon: float | None = None) -> SurfacePatch:
     if kind in (MODEL_SIGMA_PLUS, MODEL_SIGMA_MINUS):
         if epsilon is None or epsilon == 0:
             raise GeometryError(f"{kind} requires a nonzero epsilon")
+        if not math.isfinite(epsilon):
+            raise GeometryError(f"epsilon must be finite, got {epsilon}")
         return _sigma_patch(kind, float(epsilon))
     if epsilon is not None:
         raise GeometryError(f"{kind} does not take an epsilon parameter")

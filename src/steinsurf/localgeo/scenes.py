@@ -33,6 +33,8 @@ a sweep of the whole grid would, and the certificate is the same.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..certificates import Certificate, RULE_EXHAUSTION, Witness
@@ -157,6 +159,9 @@ def exhaustion_certificate(
     meaningful; the sublevel set beyond the collar retracts inward along
     rho in any case.
     """
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if not math.isfinite(value):
+            raise GeometryError(f"{name} must be finite, got {value}")
     if epsilon <= 0:
         raise GeometryError(f"epsilon must be positive, got {epsilon}")
     if delta <= 0:

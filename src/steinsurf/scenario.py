@@ -22,10 +22,10 @@ classes, a wrong-typed or unknown field) raise ScenarioError; a
 ``verify-local`` task takes the parameters its suite runner declares as
 keywords.  A parsed task is its label plus its runner, a call with the
 task's surfaces, ambients, target, recipe or suite parameters bound.
-Failures discovered while running a task
-are recorded in the report and fail that task.  Reports are
-deterministic: identical scenarios produce byte-identical JSON, with
-wall-clock timing only in the text emitter or behind an explicit flag.
+Any SteinsurfError raised while running a task is recorded in the report
+and fails that task.  Reports are deterministic: identical scenarios
+produce byte-identical JSON, with wall-clock timing only in the text
+emitter or behind an explicit flag.
 
 ``check``, ``plan`` and ``replay`` never import numpy.  numpy (as ``np``)
 and the localgeo names in ``_LOCALGEO_NAMES`` are bound into this
@@ -52,14 +52,7 @@ from .certificates import (
     RULE_WINDING,
     Witness,
 )
-from .errors import (
-    GeometryError,
-    InfeasibleTargetError,
-    InvalidClassError,
-    NumericalError,
-    ScenarioError,
-    SurgeryError,
-)
+from .errors import GeometryError, InfeasibleTargetError, ScenarioError, SteinsurfError, SurgeryError
 from .invariants import (
     ADJUNCTION_VARIANTS,
     AmbientDescriptor,
@@ -83,14 +76,6 @@ TASK_CHECK = "check"
 TASK_PLAN = "plan"
 TASK_REPLAY = "replay"
 TASK_VERIFY_LOCAL = "verify-local"
-
-_TASK_ERRORS = (
-    InvalidClassError,
-    InfeasibleTargetError,
-    SurgeryError,
-    GeometryError,
-    NumericalError,
-)
 
 _LOCALGEO_NAMES = (
     "MODEL_DOUBLE_POINT", "MODEL_GRAPH_ELLIPTIC", "MODEL_GRAPH_HYPERBOLIC", "MODEL_KINDS",
@@ -183,9 +168,10 @@ def _one_of(value: Any, options) -> bool:
 
 
 def read_json(path: str | Path) -> Any:
-    """Decode a JSON file; an unreadable or undecodable file is a ScenarioError."""
+    """Decode a JSON file from its bytes (UTF-8, -16 or -32), not by the
+    locale; an unreadable or undecodable file is a ScenarioError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -198,7 +184,7 @@ def _parse_named(section: Any, parser, what: str) -> dict:
     for name, payload in section.items():
         try:
             out[name] = parser(payload)
-        except InvalidClassError as exc:
+        except SteinsurfError as exc:
             raise ScenarioError(f"bad {what} entry {name!r}: {exc}") from exc
     return out
 
@@ -285,7 +271,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     for index, raw in enumerate(raw_tasks):
         try:
             tasks.append(_parse_task(raw, surfaces, ambients))
-        except (ScenarioError, InvalidClassError, SurgeryError) as exc:
+        except SteinsurfError as exc:
             raise ScenarioError(f"task {index}: {exc}") from exc
     return Scenario(tuple(tasks))
 
@@ -297,29 +283,27 @@ def load_scenario(source: str | Path | dict) -> Scenario:
 
 def _run_check(name: str, imm: ImmersionClass, variant: str | None, ambient: str | None,
                descriptor: AmbientDescriptor | None, class_nonzero: bool) -> tuple[bool, dict]:
-    details: dict = {"surface": name}
     cert_valid = validate(imm)
-    details["valid"] = cert_valid.to_json()
-    passed = cert_valid.passed
-    if passed:
-        report = lai(imm)
-        details["index"] = {
-            "total": report.total,
-            "positive": report.positive,
-            "negative": report.negative,
-        }
+    details: dict = {"surface": name, "valid": cert_valid.to_json()}
+    if not cert_valid.passed:
+        return False, details
+    report = lai(imm)
+    details["index"] = {
+        "total": report.total,
+        "positive": report.positive,
+        "negative": report.negative,
+    }
     if variant is not None:
         details["variant"] = variant
         cert = check_adjunction(imm, variant)
     else:
         cert = stein_condition(imm)
     details["certificate"] = cert.to_json()
-    passed = passed and cert.passed
     if ambient is not None:
         details["ambient"] = ambient
         v = verdict(imm, descriptor, class_nonzero)
         details["verdict"] = v.to_json()
-    return passed, details
+    return cert.passed, details
 
 
 def _run_plan(t: PlanTarget) -> tuple[bool, dict]:
@@ -481,8 +465,8 @@ def _suite_flow(seed: int = DEFAULT_SEED, n: int = 25, level: float = 0.01) -> l
             ok = ok and res.converged
             worst = max(worst, res.final_value)
         if len(starts) < n:
-            raise NumericalError(f"flow level={level} left no start after MAX_FLOW_DRAWS = "
-                                 f"{MAX_FLOW_DRAWS} draws over all starts; raise level")
+            raise GeometryError(f"flow level={level} left no start after MAX_FLOW_DRAWS = "
+                                f"{MAX_FLOW_DRAWS} draws over all starts; raise level")
         cert = Certificate(
             ok, RULE_FLOW,
             (Witness("max_final_value", worst), Witness("n_starts", n)),
@@ -535,7 +519,7 @@ def run_tasks(scenario: Scenario) -> Report:
         started = time.perf_counter()
         try:
             passed, details = runner()
-        except _TASK_ERRORS as exc:
+        except SteinsurfError as exc:
             passed, details = False, {"error": str(exc)}
         results.append(
             TaskResult(f"{i}:{label}", passed, details, time.perf_counter() - started)

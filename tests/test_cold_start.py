@@ -34,10 +34,11 @@ print(json.dumps([code, "numpy" in sys.modules, "steinsurf.localgeo" in sys.modu
 """
 
 
-def _fresh(script: str, *args: str):
-    """The JSON that ``script`` prints last in a fresh interpreter."""
+def _fresh(script: str, *args: str, flags: tuple[str, ...] = ()):
+    """The JSON that ``script`` prints last in a fresh interpreter started
+    with the interpreter options ``flags``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, *flags, "-c", script, *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -76,6 +77,31 @@ def test_integer_commands_import_neither_numpy_nor_localgeo(command, tmp_path):
     assert code == 0
     assert not numpy_loaded
     assert not localgeo_loaded
+
+
+# Runs cli.main on argv, then prints the exit code and the task labels.
+LABELS_SCRIPT = """
+import contextlib, io, json, sys
+from steinsurf.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [task["label"] for task in json.loads(out.getvalue())["tasks"]]]))
+"""
+
+
+def test_input_files_are_decoded_as_json_not_by_the_locale(tmp_path):
+    """A UTF-8 scenario naming a surface sigma, and a recipe, read with
+    every locale-encoded text read turned into an error."""
+    path = tmp_path / "sigma.json"
+    path.write_bytes(json.dumps({
+        "schema": 1,
+        "surfaces": {"\u03c3": oriented_class(1).to_json()},
+        "tasks": [{"task": "check", "surface": "\u03c3"}],
+    }, ensure_ascii=False).encode("utf-8"))
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    assert _fresh(LABELS_SCRIPT, "check", str(path), flags=flags) == [0, ["0:check:\u03c3"]]
+    assert _fresh(LABELS_SCRIPT, "replay", _recipe_file(tmp_path), flags=flags) == [0, ["0:replay"]]
 
 
 def test_verify_local_imports_numpy_and_localgeo():

@@ -162,6 +162,17 @@ def test_lai_rejects_parity_violation():
         lai(oriented_class(0, normal_euler=1))
 
 
+@pytest.mark.parametrize("call", [
+    adjunction_rhs,
+    lambda imm: verdict(imm, C2, True),
+    lambda imm: verdict(imm, CP2, True),
+], ids=["adjunction_rhs", "verdict-C2", "verdict-CP2"])
+def test_a_parity_violation_is_refused_in_one_wording(call):
+    with pytest.raises(InvalidClassError) as refused:
+        call(oriented_class(0, normal_euler=1))
+    assert str(refused.value) == inv.PARITY_VIOLATION
+
+
 @given(oriented_classes())
 def test_lai_split_sums_to_total(imm):
     report = lai(imm)

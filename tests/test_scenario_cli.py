@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from steinsurf import cli
+from steinsurf import cli, scenario
 from steinsurf.certificates import (
     RULE_EXHAUSTION,
     RULE_FLOW,
@@ -12,10 +12,12 @@ from steinsurf.certificates import (
     RULE_LEVI_PSH,
     RULE_WINDING,
 )
-from steinsurf.errors import ScenarioError
+from steinsurf.errors import GeometryError, ScenarioError, SteinsurfError
 from steinsurf.invariants import (
+    ADJUNCTION_VARIANTS,
     OUTCOME_NO_STEIN,
     oriented_class,
+    validate,
 )
 from steinsurf.scenario import (
     SUITES,
@@ -256,6 +258,62 @@ def test_replay_task_refuses_classes_that_fail_the_parity_check():
         report = run_scenario({"schema": 1, "tasks": [{"task": "replay", "recipe": recipe}]})
         assert not report.results[0].passed
         assert report.results[0].details == details
+
+
+# chi + e + c1 = 2 + 1 + 0 is odd: no integral signed index split.
+ODD_SPHERE = oriented_class(0, normal_euler=1)
+
+
+@pytest.mark.parametrize("ambient", [None, "AffinePlane", "ProjectivePlane"])
+@pytest.mark.parametrize("variant", [None, *ADJUNCTION_VARIANTS])
+def test_a_check_stops_at_its_failed_validity_certificate(variant, ambient, tmp_path, capsys):
+    task = {"task": "check", "surface": "odd"}
+    blob = {"schema": 1, "surfaces": {"odd": ODD_SPHERE.to_json()}, "tasks": [task]}
+    if variant is not None:
+        task["variant"] = variant
+    if ambient is not None:
+        task["ambient"] = "x"
+        blob["ambients"] = {"x": {"kind": ambient, "stein": ambient == "AffinePlane",
+                                  "kaehler_b2plus_gt1": False}}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(blob))
+    assert cli.main(["check", str(path)]) == 1
+    (result,) = json.loads(capsys.readouterr().out)["tasks"]
+    assert result["pass"] is False
+    assert result["details"] == {"surface": "odd", "valid": validate(ODD_SPHERE).to_json()}
+    valid = result["details"]["valid"]
+    assert valid["pass"] is False
+    assert valid["rule"] == "index-integrality"
+    witnesses = {w["point"]: w["value"] for w in valid["witnesses"]}
+    assert witnesses["parity_sum"] % 2 == 1
+
+
+@pytest.mark.parametrize("error", [SteinsurfError, ScenarioError, GeometryError])
+def test_any_package_error_a_runner_raises_fails_its_task(error, monkeypatch):
+    def refuse():
+        raise error("refused at run time")
+
+    monkeypatch.setitem(scenario._SUITE_RUNNERS, "windings", refuse)
+    blob = torus_check_scenario()
+    blob["tasks"].insert(0, {"task": "verify-local", "suite": "windings"})
+    first, second = run_scenario(blob).results
+    assert not first.passed
+    assert first.details == {"error": "refused at run time"}
+    assert second.passed
+
+
+def test_any_package_error_raised_while_parsing_exits_2(monkeypatch, tmp_path, capsys):
+    def refuse(suite, params):
+        raise GeometryError("refused while parsing")
+
+    monkeypatch.setattr(scenario, "_parse_params", refuse)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema": 1, "tasks": [
+        {"task": "verify-local", "suite": "windings"}]}))
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: task 0: refused while parsing\n"
 
 
 def test_reports_are_deterministic():

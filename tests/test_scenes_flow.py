@@ -14,6 +14,8 @@ from steinsurf import scenario
 from steinsurf.certificates import RULE_EXHAUSTION
 from steinsurf.errors import GeometryError
 from steinsurf.localgeo import (
+    MODEL_SIGMA_MINUS,
+    MODEL_SIGMA_PLUS,
     Box4,
     PointC2,
     ScalarField,
@@ -23,6 +25,7 @@ from steinsurf.localgeo import (
     fd_levi_arrays,
     flow_to_surface,
     model_field,
+    model_patch,
     tau_jets,
 )
 from steinsurf.localgeo import flow
@@ -232,6 +235,21 @@ def test_exhaustion_validation():
         exhaustion_certificate(MODEL_DOUBLE_POINT, 0.01, 0.0, 0.25)
     with pytest.raises(GeometryError):
         exhaustion_certificate(MODEL_DOUBLE_POINT, 0.01, 1e-3, 0.25, collar=0.02)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, build", [
+    ("epsilon", lambda v: exhaustion_certificate(MODEL_DOUBLE_POINT, v, 1e-3, 0.25)),
+    ("delta", lambda v: exhaustion_certificate(MODEL_DOUBLE_POINT, 0.01, v, 0.25)),
+    ("epsilon", lambda v: model_patch(MODEL_SIGMA_PLUS, epsilon=v)),
+    ("epsilon", lambda v: model_patch(MODEL_SIGMA_MINUS, epsilon=v)),
+], ids=["exhaustion-epsilon", "exhaustion-delta", "sigma-plus", "sigma-minus"])
+def test_a_non_finite_epsilon_or_delta_is_refused_by_name(name, build, value):
+    """Before any other check: not as a tiny epsilon, a collar out of
+    range, non-finite Levi data or non-finite tangent data."""
+    with pytest.raises(GeometryError) as refused:
+        build(value)
+    assert str(refused.value) == f"{name} must be finite, got {value}"
 
 
 def test_exhaustion_needs_points_near_the_surface():
