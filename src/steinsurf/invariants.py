@@ -60,11 +60,12 @@ INT64_MAX = 2**63 - 1
 VARIANT_EMBEDDED = "embedded"
 VARIANT_IMMERSED_NECESSARY = "immersed_necessary"
 VARIANT_IMMERSED_SUFFICIENT = "immersed_sufficient"
-ADJUNCTION_VARIANTS = (
-    VARIANT_EMBEDDED,
-    VARIANT_IMMERSED_NECESSARY,
-    VARIANT_IMMERSED_SUFFICIENT,
-)
+_ADJUNCTION_RULES = {
+    VARIANT_EMBEDDED: RULE_ADJ_EMBEDDED,
+    VARIANT_IMMERSED_NECESSARY: RULE_ADJ_IMMERSED_NECESSARY,
+    VARIANT_IMMERSED_SUFFICIENT: RULE_ADJ_IMMERSED_SUFFICIENT,
+}
+ADJUNCTION_VARIANTS = tuple(_ADJUNCTION_RULES)
 
 # Verdict outcomes.
 OUTCOME_STEIN = "SteinAfterIsotopy"
@@ -249,10 +250,11 @@ PARITY_VIOLATION = ("parity violation: euler_char + normal_euler + c1_pairing is
                     "the signed index split would not be integral")
 
 
-def odd_parity(imm: ImmersionClass) -> bool:
-    """The plain test behind :func:`validate`: an orientable class whose
-    chi + e + c1 is odd."""
-    return imm.orientable and (imm.euler_char + imm.normal_euler + imm.c1_pairing) % 2 == 1
+def require_integral_split(imm: ImmersionClass) -> None:
+    """Refuse, with :data:`PARITY_VIOLATION`, an orientable class whose
+    chi + e + c1 is odd: the plain test behind :func:`validate`."""
+    if imm.orientable and (imm.euler_char + imm.normal_euler + imm.c1_pairing) % 2:
+        raise InvalidClassError(PARITY_VIOLATION)
 
 
 def validate(imm: ImmersionClass) -> Certificate:
@@ -284,8 +286,7 @@ def lai(imm: ImmersionClass) -> IndexReport:
     complex points contribute separately; each signed part is half of
     (total plus or minus the Chern pairing).
     """
-    if odd_parity(imm):
-        raise InvalidClassError(PARITY_VIOLATION)
+    require_integral_split(imm)
     total = _check_int64("index total", imm.euler_char + imm.normal_euler)
     if not imm.orientable:
         return IndexReport(total=total, positive=None, negative=None)
@@ -304,8 +305,7 @@ def adjunction_rhs(imm: ImmersionClass) -> int:
     """
     if not imm.orientable:
         raise InvalidClassError("adjunction bounds are for orientable classes only")
-    if odd_parity(imm):
-        raise InvalidClassError(PARITY_VIOLATION)
+    require_integral_split(imm)
     doubled = 2 + imm.self_intersection + abs(imm.c1_pairing)
     # Parity of self_intersection + |c1| matches the validated parity sum,
     # so the division below is exact.
@@ -316,7 +316,7 @@ def adjunction_rhs(imm: ImmersionClass) -> int:
 def check_adjunction(imm: ImmersionClass, variant: str) -> Certificate:
     """Evaluate one of the three genus-bound variants.
 
-    * ``embedded``: genus >= rhs, for embedded classes only.
+    * ``embedded``: genus + delta_plus = genus >= rhs, for embedded classes only.
     * ``immersed_necessary``: genus + delta_plus >= rhs.
     * ``immersed_sufficient``: genus + delta_plus >= rhs + delta_minus;
       this one is equivalent to both signed indices being nonpositive.
@@ -329,18 +329,11 @@ def check_adjunction(imm: ImmersionClass, variant: str) -> Certificate:
             "use an immersed variant"
         )
     rhs = adjunction_rhs(imm)
-    if variant == VARIANT_EMBEDDED:
-        lhs = imm.genus
-        rule = RULE_ADJ_EMBEDDED
-    elif variant == VARIANT_IMMERSED_NECESSARY:
-        lhs = _check_int64("genus + delta_plus", imm.genus + imm.delta_plus)
-        rule = RULE_ADJ_IMMERSED_NECESSARY
-    else:
-        lhs = _check_int64("genus + delta_plus", imm.genus + imm.delta_plus)
+    lhs = _check_int64("genus + delta_plus", imm.genus + imm.delta_plus)
+    if variant == VARIANT_IMMERSED_SUFFICIENT:
         rhs = _check_int64("adjunction_rhs + delta_minus", rhs + imm.delta_minus)
-        rule = RULE_ADJ_IMMERSED_SUFFICIENT
     witnesses = (Witness("lhs", lhs), Witness("rhs", rhs))
-    return Certificate(lhs >= rhs, rule, witnesses)
+    return Certificate(lhs >= rhs, _ADJUNCTION_RULES[variant], witnesses)
 
 
 def stein_condition(imm: ImmersionClass) -> Certificate:

@@ -34,6 +34,9 @@ translation by n times that step's vector, checked once
 O(runs) step applications.  A traced replay applies each step, since its
 trace holds every step's class; its steps and its trace are O(steps)
 output either way.
+
+The projective plane planner states no bound of its own: it plans a
+target exactly when :func:`verdict` calls the target class Stein there.
 """
 
 from __future__ import annotations
@@ -42,16 +45,18 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InfeasibleTargetError, InvalidClassError, SurgeryError
-from .certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
 from .invariants import (
-    PARITY_VIOLATION,
+    KIND_PROJECTIVE_PLANE,
+    OUTCOME_STEIN,
+    AmbientDescriptor,
     ImmersionClass,
     _check_int64,
     _check_record,
     lai,
-    odd_parity,
     oriented_class,
+    require_integral_split,
     unoriented_class,
+    verdict,
 )
 
 # Step kinds (these exact strings appear in serialized recipes).
@@ -114,10 +119,7 @@ def cp2_curve_class(degree: int) -> ImmersionClass:
     """
     if degree < 1:
         raise SurgeryError(f"curve degree must be >= 1, got {degree}")
-    d = degree
-    return oriented_class(
-        genus=(d - 1) * (d - 2) // 2, normal_euler=d * d, c1_pairing=3 * d
-    )
+    return _cp2_class(degree, (degree - 1) * (degree - 2) // 2)
 
 
 def cp2_line_config_sphere(degree: int) -> ImmersionClass:
@@ -129,13 +131,12 @@ def cp2_line_config_sphere(degree: int) -> ImmersionClass:
     """
     if degree < 1:
         raise SurgeryError(f"configuration degree must be >= 1, got {degree}")
-    d = degree
-    return oriented_class(
-        genus=0,
-        normal_euler=3 * d - 2,
-        c1_pairing=3 * d,
-        delta_plus=(d - 1) * (d - 2) // 2,
-    )
+    return _cp2_class(degree, 0, (degree - 1) * (degree - 2) // 2)
+
+
+def _cp2_class(d: int, genus: int, delta_plus: int = 0) -> ImmersionClass:
+    """Orientable degree-``d`` class in the projective plane: S.S = d^2, c1.S = 3d."""
+    return oriented_class(genus, d * d - 2 * delta_plus, 3 * d, delta_plus)
 
 
 def real_projective_plane_cp2() -> ImmersionClass:
@@ -271,8 +272,8 @@ def _apply_step(imm: ImmersionClass, step: SurgeryStep,
         )
     if step.kind == STEP_ATTACH_WEINSTEIN and not imm.orientable:
         raise SurgeryError("Weinstein sphere attachment needs an orientable base")
-    if step.kind == STEP_CONNECTED_SUM and odd_parity(step.other):
-        raise InvalidClassError(PARITY_VIOLATION)
+    if step.kind == STEP_CONNECTED_SUM:
+        require_integral_split(step.other)
     move = _sum_move(step.other) if step.kind == STEP_CONNECTED_SUM else _MOVES[step.kind]
     (d_chi, e, c1, dp, dm), keeps_orientable, note = move
     dp = imm.delta_plus + count * dp
@@ -310,8 +311,7 @@ def _fold(base: ImmersionClass, steps: list[SurgeryStep], trace: list[dict] | No
     first step, to find the step that fails and its message.  Traced,
     every step is its own call, since each entry holds that step's class."""
     try:
-        if odd_parity(base):
-            raise InvalidClassError(PARITY_VIOLATION)
+        require_integral_split(base)
     except InvalidClassError as exc:
         raise SurgeryError(f"base class failed: {exc}", position=0) from exc
     current, position = base, 1
@@ -430,10 +430,6 @@ class PlanTarget:
 MAX_PLAN_STEPS = 1 << 20
 
 
-def _feasibility_bound(degree: int) -> int:
-    return (degree + 1) * (degree + 2) // 2
-
-
 def plan_cp2(target: PlanTarget) -> SurgeryRecipe:
     """Emit a recipe realizing the target class with all indices <= 0.
 
@@ -442,8 +438,9 @@ def plan_cp2(target: PlanTarget) -> SurgeryRecipe:
     configuration sphere, attach Weinstein spheres, then trade the excess
     positive double points for genus by handle resolution.  Unorientable
     targets start from the real projective plane and attach cross-caps.
-    Infeasible targets (genus plus positive double points below the
-    degree bound) raise with the violated rule attached.
+    An orientable target is planned exactly when :func:`verdict` calls its
+    class Stein in the projective plane, else refused with that verdict's
+    rule; a class or index leaving int64 raises InvalidClassError by name.
     """
     if target.genus < 0 or target.delta_plus < 0:
         raise InfeasibleTargetError(
@@ -464,20 +461,21 @@ def plan_cp2(target: PlanTarget) -> SurgeryRecipe:
                 "unorientable genus is at least 1", rule="input"
             )
         base = real_projective_plane_cp2()
-        return _recipe(base, ((STEP_ATTACH_RP2, target.genus - 1),), target)
+        return _recipe(base, ((STEP_ATTACH_RP2, target.genus - 1),), _target_class(target))
 
     if target.degree is None or target.degree < 1:
         raise InfeasibleTargetError(
             f"orientable targets need a degree >= 1, got {target.degree!r}", rule="input"
         )
     d = target.degree
-    bound = _feasibility_bound(d)
-    if target.genus + target.delta_plus < bound:
-        rule = RULE_CP2_EMBEDDED_BOUND if target.delta_plus == 0 else RULE_CP2_IMMERSED_BOUND
+    end = _target_class(target)
+    v = verdict(end, AmbientDescriptor(KIND_PROJECTIVE_PLANE, stein=False), class_nonzero=True)
+    if v.outcome != OUTCOME_STEIN:
+        sides = {w.point: w.value for w in v.witnesses}
         raise InfeasibleTargetError(
-            f"infeasible target: genus + delta_plus = {target.genus + target.delta_plus} "
-            f"< {bound} = (d+1)(d+2)/2 for degree {d}",
-            rule=rule,
+            f"infeasible target: genus + delta_plus = {sides['lhs']} "
+            f"< {sides['rhs']} = (d+1)(d+2)/2 for degree {d}",
+            rule=v.rule,
         )
 
     if target.delta_plus == 0:
@@ -487,25 +485,24 @@ def plan_cp2(target: PlanTarget) -> SurgeryRecipe:
         base = cp2_line_config_sphere(d)
         spheres = target.genus + target.delta_plus - base.delta_plus
         moves = ((STEP_ATTACH_WEINSTEIN, spheres), (STEP_RESOLVE_POS_HANDLE, target.genus))
-    return _recipe(base, moves, target)
+    return _recipe(base, moves, end)
 
 
 def _target_class(target: PlanTarget) -> ImmersionClass:
-    """The class a plan for ``target`` reaches: genus g with normal Euler
-    number d^2 - 2 delta_plus and Chern pairing 3d for degree d, or the
-    2-torsion class with normal Euler number 1 - 2g."""
+    """The class a plan for ``target`` reaches: the degree-d class of
+    genus g with delta_plus positive double points, or the 2-torsion
+    class with normal Euler number 1 - 2g."""
     if not target.orientable:
         return unoriented_class(target.genus, 1 - 2 * target.genus)
-    d = target.degree
-    return oriented_class(target.genus, d * d - 2 * target.delta_plus, 3 * d, target.delta_plus)
+    return _cp2_class(target.degree, target.genus, target.delta_plus)
 
 
 def _recipe(
-    base: ImmersionClass, moves: tuple[tuple[str, int], ...], target: PlanTarget
+    base: ImmersionClass, moves: tuple[tuple[str, int], ...], expected: ImmersionClass
 ) -> SurgeryRecipe:
     """Recipe repeating each step kind ``count`` times, in order; refuses
     more than MAX_PLAN_STEPS step records before building any.  The
-    recipe's own replay checks that the steps reach ``target``."""
+    recipe's own replay checks that the steps reach ``expected``."""
     records = sum(count for _, count in moves)
     if records > MAX_PLAN_STEPS:
         raise InfeasibleTargetError(
@@ -513,4 +510,4 @@ def _recipe(
             rule="input",
         )
     steps = tuple(chain.from_iterable((SurgeryStep(kind),) * count for kind, count in moves))
-    return SurgeryRecipe(base=base, steps=steps, expected=_target_class(target))
+    return SurgeryRecipe(base=base, steps=steps, expected=expected)

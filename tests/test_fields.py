@@ -214,6 +214,14 @@ def test_box_validation_and_containment():
         box.axes(0.0)
 
 
+def test_box_refuses_three_bounds_and_a_step_too_small_for_its_sides():
+    with pytest.raises(GeometryError, match="^Box4 needs four lower and four upper bounds$"):
+        Box4((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    with pytest.raises(GeometryError,
+                       match=r"^grid step 5e-324 is too small for side \[-1\.0, 1\.0\]$"):
+        Box4.symmetric(1.0).node_counts(5e-324)
+
+
 def test_grid_chunks_cover_the_box_in_order():
     box = Box4.symmetric(0.5)
     with mock.patch.object(sweeps, "DEFAULT_CHUNK", 10 ** 9):

@@ -352,6 +352,19 @@ def test_overflowing_tangents_are_a_quiet_task_error(suite, params, capsys):
     assert expected in result.details["error"]
 
 
+def test_an_integer_number_parameter_runs_as_a_float():
+    """An integer JSON value for a number parameter is that float; one
+    outside int64 is refused at parse by name."""
+    (label, runner), = load_scenario(_suite("sigma_handles", epsilon=1)).tasks
+    assert runner.args == ("sigma_handles", {"epsilon": 1.0})
+    assert type(runner.args[1]["epsilon"]) is float
+    as_int = scenario.verify_local("sigma_handles", {"epsilon": 1})
+    assert as_int.passed
+    assert as_int.to_json() == scenario.verify_local("sigma_handles", {"epsilon": 1.0}).to_json()
+    with pytest.raises(ScenarioError, match="^task 0: epsilon out of signed 64-bit range: 10{30}$"):
+        load_scenario(_suite("sigma_handles", epsilon=10**30))
+
+
 @pytest.mark.parametrize("params", [
     {"epsilon": 1e-300, "grid_step": 0.25},
     {"delta": 1e308, "grid_step": 0.25},

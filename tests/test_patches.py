@@ -258,6 +258,29 @@ def test_closed_form_dets_are_identities_of_the_charts():
 
 
 @pytest.mark.parametrize("kind, epsilon", [
+    *((kind, eps) for kind in _SIGMA_KINDS for eps in (0.1, -0.07)),
+    (MODEL_WEINSTEIN, None),
+    (MODEL_GRAPH_ELLIPTIC, None),
+    (MODEL_GRAPH_HYPERBOLIC, None),
+    ("ConjugatePowerGraph3", None),
+])
+def test_each_model_chart_has_its_closed_form_det(kind, epsilon):
+    """Central differences of the patch's own chart give its det."""
+    patch = _named_patch(kind, epsilon)
+    (rect,) = patch.domain
+    rng = np.random.default_rng(11)
+    s = rng.uniform(rect.s0, rect.s1, size=1000)
+    t = rng.uniform(rect.t0, rect.t1, size=1000)
+    h = 1e-6
+    (zsp, wsp), (zsm, wsm) = patch.chart(s + h, t), patch.chart(s - h, t)
+    (ztp, wtp), (ztm, wtm) = patch.chart(s, t + h), patch.chart(s, t - h)
+    z_s, w_s, z_t, w_t = ((a - b) / (2 * h) for a, b in
+                          ((zsp, zsm), (wsp, wsm), (ztp, ztm), (wtp, wtm)))
+    det = det_arrays(patch, s, t)
+    assert np.all(np.abs(z_s * w_t - z_t * w_s - det) <= 1e-8 * np.abs(det))
+
+
+@pytest.mark.parametrize("kind, epsilon", [
     *((MODEL_SIGMA_MINUS, eps) for eps in (0.1, -0.07, -0.05)),
     (MODEL_GRAPH_ELLIPTIC, None),
     (MODEL_GRAPH_HYPERBOLIC, None),

@@ -541,6 +541,28 @@ def test_cli_plan_unorientable_and_infeasible(capsys):
     assert blob["tasks"][0]["details"]["rule"] == "projective-plane-immersed-bound"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--degree", "4000000000", "--genus", "0"],
+     "normal_euler out of signed 64-bit range: 16000000000000000000"),
+    (["--degree", "1", "--genus", str(2**63 - 1), "--dplus", "1"],
+     "euler_char out of signed 64-bit range: -18446744073709551612"),
+], ids=["degree", "genus"])
+def test_cli_plan_refuses_a_target_leaving_int64_by_the_quantity(argv, error, capsys):
+    """A target whose class or index leaves int64 fails as a check of the
+    class would, naming the quantity, not with a bound past int64."""
+    assert cli.main(["plan", *argv]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["tasks"][0]["details"] == {"error": error}
+
+
+def test_cli_replay_refuses_steps_that_are_not_a_list(tmp_path, capsys):
+    recipe = {"base": cp2_curve_class(1).to_json(), "steps": {}}
+    assert cli.main(["replay", write_json(tmp_path, "recipe.json", recipe)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: task 0: recipe steps must be a list, got {}\n"
+
+
 def test_cli_verify_local_deterministic_output(capsys):
     assert cli.main(["verify-local", "--suite", "windings"]) == 0
     first = capsys.readouterr().out

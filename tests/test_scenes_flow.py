@@ -334,6 +334,29 @@ def test_flow_refuses_a_non_finite_rk4_candidate_as_a_point():
         flow_to_surface(steep, PointC2.from_reals(0.0, 0.0, 0.0, 0.0))
 
 
+def test_flow_stalls_without_raising_when_no_step_lowers_the_value():
+    """|p|^2 + 1 rounds to 1.0 near the origin, so every step is rejected
+    until the step size falls below its minimum: the flow stops there."""
+    bowl = ScalarField(
+        "bowl",
+        lambda x, y, u, v: x * x + y * y + u * u + v * v + 1.0,
+        gradient=lambda x, y, u, v: (2.0 * x, 2.0 * y, 2.0 * u, 2.0 * v),
+    )
+    result = flow_to_surface(bowl, PointC2.from_reals(0.1, 0.0, 0.0, 0.0))
+    assert not result.converged
+    assert result.final_value == 1.0
+
+
+def test_flow_refuses_a_non_finite_value_at_a_candidate_inside_the_box():
+    hole = ScalarField(
+        "hole",
+        lambda x, y, u, v: 1.0 if x == 0.5 else math.nan,
+        gradient=lambda x, y, u, v: (1.0, 0.0, 0.0, 0.0),
+    )
+    with pytest.raises(GeometryError, match=r"^field hole non-finite at \(0\.45, 0\.0, 0\.0, 0\.0\)$"):
+        flow_to_surface(hole, PointC2.from_reals(0.5, 0.0, 0.0, 0.0))
+
+
 def test_flow_evaluates_the_field_once_per_attempted_step():
     """Every RK4 attempt makes four gradient calls and, inside the box, one
     value call; an accepted step reuses that value instead of a second."""

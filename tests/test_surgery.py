@@ -7,10 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from steinsurf import surgery as sg
 from steinsurf.errors import InfeasibleTargetError, InvalidClassError, SurgeryError
-from steinsurf.certificates import RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND
+from steinsurf.certificates import (
+    RULE_CP2_EMBEDDED_BOUND,
+    RULE_CP2_IMMERSED_BOUND,
+    RULE_INDEX_NONPOSITIVE,
+)
 from steinsurf.invariants import (
     INT64_MAX,
     INT64_MIN,
+    KIND_PROJECTIVE_PLANE,
+    OUTCOME_STEIN,
+    AmbientDescriptor,
     ImmersionClass,
     adjunction_rhs,
     lai,
@@ -18,6 +25,7 @@ from steinsurf.invariants import (
     stein_condition,
     unoriented_class,
     validate,
+    verdict,
 )
 from steinsurf.surgery import (
     PlanTarget,
@@ -692,6 +700,56 @@ def test_plan_rejects_infeasible_targets():
     with pytest.raises(InfeasibleTargetError) as exc:
         plan_cp2(PlanTarget(orientable=True, genus=5, degree=2))
     assert exc.value.rule == RULE_CP2_EMBEDDED_BOUND
+
+
+def _old_refusal(target):
+    """The planner's own bound check, as it stood before it asked the
+    verdict ladder: the message and rule of an infeasible orientable
+    target, or None when the target is feasible."""
+    d, total = target.degree, target.genus + target.delta_plus
+    bound = (d + 1) * (d + 2) // 2
+    if total >= bound:
+        return None
+    rule = RULE_CP2_EMBEDDED_BOUND if target.delta_plus == 0 else RULE_CP2_IMMERSED_BOUND
+    return (f"infeasible target: genus + delta_plus = {total} "
+            f"< {bound} = (d+1)(d+2)/2 for degree {d}"), rule
+
+
+_NEAR_BOUND_TARGETS = [
+    PlanTarget(orientable=True, genus=total - dplus, delta_plus=dplus, degree=d)
+    for d in range(1, 7)
+    for total in range((d + 1) * (d + 2) // 2 - 3, (d + 1) * (d + 2) // 2 + 4)
+    for dplus in range(0, 4)
+    if total - dplus >= 0
+]
+
+
+def test_plan_succeeds_exactly_when_the_verdict_is_stein():
+    """The planner refuses a target exactly when the verdict ladder calls
+    its class NoSteinNeighborhood in the projective plane, with that
+    verdict's rule and the planner's former message."""
+    cp2 = AmbientDescriptor(KIND_PROJECTIVE_PLANE, stein=False)
+    unorientable = [PlanTarget(orientable=False, genus=g) for g in range(1, 6)]
+    outcomes = set()
+    for target in _NEAR_BOUND_TARGETS + unorientable:
+        v = verdict(sg._target_class(target), cp2, class_nonzero=True)
+        outcomes.add(v.rule)
+        if v.outcome == OUTCOME_STEIN:
+            assert not target.orientable or _old_refusal(target) is None, target
+            assert plan_cp2(target).expected == sg._target_class(target)
+            continue
+        with pytest.raises(InfeasibleTargetError) as exc:
+            plan_cp2(target)
+        assert exc.value.rule == v.rule
+        assert (str(exc.value), exc.value.rule) == _old_refusal(target)
+    assert outcomes == {RULE_INDEX_NONPOSITIVE, RULE_CP2_EMBEDDED_BOUND, RULE_CP2_IMMERSED_BOUND}
+
+
+def test_projective_plane_base_classes_refuse_degree_zero():
+    with pytest.raises(SurgeryError, match=r"^curve degree must be >= 1, got 0$"):
+        cp2_curve_class(0)
+    with pytest.raises(SurgeryError, match=r"^configuration degree must be >= 1, got 0$"):
+        cp2_line_config_sphere(0)
 
 
 def test_plan_rejects_malformed_targets():
